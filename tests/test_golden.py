@@ -1,0 +1,52 @@
+"""Golden pins: the exact outputs of a tiny end-to-end run and of the
+full-model gradient suite on a tiny model.
+
+Refactors must keep every output bit-identical for a fixed seed, so these
+values never change with a refactor. A change that alters the numbers on
+purpose (a reordered sum, a new default) regenerates them and says why.
+The pins belong to the numpy/BLAS build they were generated with.
+"""
+
+import hashlib
+
+from anofuse.cli import main
+from anofuse.config import RunConfig
+from anofuse.verify import full_model_gradient_suite
+
+TINY = ["--n_groups", "2", "--channels", "16", "--heads", "2", "--rank", "2",
+        "--gate_hidden", "4", "--image_size", "16", "--defect_min", "3", "--defect_max", "8",
+        "--steps", "6", "--batch_size", "4", "--n_train", "8", "--n_test", "12"]
+
+RUN_SHA256 = {
+    "run/trace.csv": "c83e005a44b2bf2bc10ee586abc26f1f4d7d78d0fee976072fcb04d247cf3d95",
+    "run/metrics.csv": "9b7434c592e2483fe61e91f6cb425883ac3819768c79dbf5bb8cb8f368a19f5e",
+    "run/checkpoint.bin": "a396a0b97d21dde72a2af4a2f5b925de22503831e9197beebdd4c99b6a69b5fc",
+    "maps/index.txt": "991366f89867dd05b2aa9aaacbad069617894ad20888b32db9835f008154cbda",
+}
+MAPS_SHA256 = "8aebf074dc9327d096e82555276038e9d941b4d1ba48d120b1b0cf24b93ba4c6"
+
+
+def _sha(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_tiny_run_outputs_are_pinned(tmp_path, capsys):
+    assert main(["train", "--out", str(tmp_path / "run")] + TINY) == 0
+    assert main(["export-maps", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                 "--out", str(tmp_path / "maps")]) == 0
+    got = {name: _sha((tmp_path / name).read_bytes()) for name in RUN_SHA256}
+    assert got == RUN_SHA256
+    maps = hashlib.sha256()
+    for path in sorted((tmp_path / "maps").glob("*.pgm")):
+        maps.update(path.name.encode())
+        maps.update(path.read_bytes())
+    assert maps.hexdigest() == MAPS_SHA256
+
+
+def test_tiny_gradient_suite_is_pinned():
+    cfg = RunConfig(n_groups=2, channels=8, heads=2, rank=2, gate_hidden=2,
+                    branch_kernels=(3,), patch_size=8, image_size=16,
+                    defect_min=3, defect_max=8)
+    res = full_model_gradient_suite(cfg, seed=39)
+    assert (res.max_rel_err.hex(), res.n_checked, res.n_skipped, len(res.failures)) == (
+        "0x1.eccbcc47973ebp-14", 440, 0, 1)
