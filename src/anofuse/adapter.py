@@ -69,8 +69,8 @@ class ConvLoraAdapter:
 
     __call__ = forward
 
-    def named_params(self, prefix=""):
-        p = prefix + self.name
+    def named_params(self):
+        p = self.name
         out = {f"{p}.w_down": self.w_down, f"{p}.w_up": self.w_up}
         for k in self.branch_kernels:
             out[f"{p}.conv_down_{k}"] = self.conv_down[k]
@@ -102,8 +102,8 @@ class LowRankAdapter:
 
     __call__ = forward
 
-    def named_params(self, prefix=""):
-        p = prefix + self.name
+    def named_params(self):
+        p = self.name
         return {f"{p}.w_down": self.w_down, f"{p}.w_up": self.w_up}
 
     def param_count(self):

@@ -20,10 +20,8 @@ from .config import RunConfig, apply_overrides, load_config
 from .data import export_dataset, gen_synthetic, get_corpora, write_pgm
 from .errors import (ConfigurationError, DatasetError, ShapeError, TrainingError,
                      UndefinedMetricError)
-from .losses import cls_probs, image_score
 from .metrics import MetricsReport
-from .tensor import no_grad
-from .train import EVAL_BATCH, evaluate, train
+from .train import evaluate, predict, train
 
 
 def _collect_overrides(extra):
@@ -87,13 +85,19 @@ def cmd_train(args, extra):
     return 0
 
 
-def cmd_eval(args, extra):
+def _load_for_inference(args, extra):
+    """The --checkpoint model and the test split of its config, with any
+    command-line overrides applied to the config."""
     model, _ = load_checkpoint(args.checkpoint)
     cfg = model.config
     overrides = _collect_overrides(extra)
     if overrides:
         cfg = apply_overrides(cfg, overrides).validate()
-    _, test_s = get_corpora(cfg)
+    return model, get_corpora(cfg)[1]
+
+
+def cmd_eval(args, extra):
+    model, test_s = _load_for_inference(args, extra)
     report = evaluate(model, test_s)
     if args.out:
         _write_report(args.out, report)
@@ -111,26 +115,13 @@ def cmd_ablate(args, extra):
 
 
 def cmd_export_maps(args, extra):
-    model, _ = load_checkpoint(args.checkpoint)
-    cfg = model.config
-    overrides = _collect_overrides(extra)
-    if overrides:
-        cfg = apply_overrides(cfg, overrides).validate()
-    _, test_s = get_corpora(cfg)
+    model, test_s = _load_for_inference(args, extra)
+    maps, scores, _ = predict(model, test_s)
     out = Path(args.out)
     index = []
-    with no_grad():
-        for start in range(0, len(test_s), EVAL_BATCH):
-            chunk = test_s[start:start + EVAL_BATCH]
-            images = np.stack([s.image for s in chunk])[:, None, :, :]
-            outs = model.forward(images)
-            up = outs.amap.upsampled.data
-            p_abn = cls_probs(outs.v_cls, outs.anchor, cfg.temperature).data[:, 1]
-            scores = image_score(p_abn, up)
-            for s, m, sc in zip(chunk, up, scores):
-                write_pgm(out / f"{s.id}.pgm",
-                          np.round(m * 65535.0).astype(np.uint16), maxval=65535)
-                index.append(f"{s.id} {sc:.9g}")
+    for s, m, sc in zip(test_s, maps, scores):
+        write_pgm(out / f"{s.id}.pgm", np.round(m * 65535.0).astype(np.uint16), maxval=65535)
+        index.append(f"{s.id} {sc:.9g}")
     _write_lines(out / "index.txt", index)
     print(f"wrote {len(index)} maps to {out}")
     return 0

@@ -14,30 +14,6 @@ from .errors import ConfigurationError
 
 
 @dataclass
-class LossConfig:
-    lambda_focal: float = 1.0
-    lambda_dice: float = 1.0
-    lambda_cls: float = 1.0
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
-    dice_smooth: float = 1.0
-
-    def validate(self):
-        bad = []
-        if self.lambda_focal < 0 or self.lambda_dice < 0 or self.lambda_cls < 0:
-            bad.append("lambda_focal/lambda_dice/lambda_cls must be >= 0")
-        if self.lambda_focal == 0 and self.lambda_dice == 0 and self.lambda_cls == 0:
-            bad.append("at least one lambda must be positive")
-        if self.focal_gamma < 0:
-            bad.append("focal_gamma must be >= 0")
-        if not 0.0 <= self.focal_alpha <= 1.0:
-            bad.append("focal_alpha must lie in [0, 1]")
-        if self.dice_smooth <= 0:
-            bad.append("dice_smooth must be > 0")
-        return bad
-
-
-@dataclass
 class RunConfig:
     # model
     n_groups: int = 3
@@ -81,10 +57,6 @@ class RunConfig:
     def resolved_gate_hidden(self):
         return self.gate_hidden if self.gate_hidden > 0 else self.channels // 2
 
-    def loss_config(self):
-        return LossConfig(self.lambda_focal, self.lambda_dice, self.lambda_cls,
-                          self.focal_gamma, self.focal_alpha, self.dice_smooth)
-
     def validate(self):
         """Raise ConfigurationError naming every offending field."""
         bad = []
@@ -107,7 +79,16 @@ class RunConfig:
             bad.append(f"temperature={self.temperature} (need > 0)")
         if self.gate_hidden < 0:
             bad.append(f"gate_hidden={self.gate_hidden} (need >= 0)")
-        bad += self.loss_config().validate()
+        if self.lambda_focal < 0 or self.lambda_dice < 0 or self.lambda_cls < 0:
+            bad.append("lambda_focal/lambda_dice/lambda_cls must be >= 0")
+        if self.lambda_focal == 0 and self.lambda_dice == 0 and self.lambda_cls == 0:
+            bad.append("at least one lambda must be positive")
+        if self.focal_gamma < 0:
+            bad.append("focal_gamma must be >= 0")
+        if not 0.0 <= self.focal_alpha <= 1.0:
+            bad.append("focal_alpha must lie in [0, 1]")
+        if self.dice_smooth <= 0:
+            bad.append("dice_smooth must be > 0")
         if self.lr <= 0:
             bad.append(f"lr={self.lr} (need > 0)")
         if self.steps < 0:

@@ -107,10 +107,23 @@ def gen_synthetic(config, seed, n=None, prefix="s"):
 
 
 def get_corpora(config):
-    """(train, test) sample lists, from disk when data_dir is set."""
+    """(train, test) sample lists, from disk when data_dir is set.
+
+    Images loaded from disk must be image_size pixels square; a file of any
+    other size raises DatasetError naming it.
+    """
     if config.data_dir:
-        return (load_dataset(config.data_dir, "train"),
-                load_dataset(config.data_dir, "test"))
+        corpora = (load_dataset(config.data_dir, "train"),
+                   load_dataset(config.data_dir, "test"))
+        size = config.image_size
+        for split, samples in zip(("train", "test"), corpora):
+            for s in samples:
+                if s.image.shape != (size, size):
+                    path = (Path(config.data_dir) / split / ("defect" if s.label else "good")
+                            / f"{s.id}.pgm")
+                    raise DatasetError(f"{path} is {s.image.shape[1]}x{s.image.shape[0]} "
+                                       f"pixels, config image_size is {size}")
+        return corpora
     train = gen_synthetic(config, config.data_seed, config.n_train, prefix="train")
     test = gen_synthetic(config, config.data_seed + 1, config.n_test, prefix="test")
     return train, test
@@ -200,6 +213,9 @@ def load_dataset(root, split="test"):
                 if not mask_path.exists():
                     raise DatasetError(f"defect image {sample_id!r} has no mask at {mask_path}")
                 mraw, _ = read_pgm(mask_path)
+                if mraw.shape != arr.shape:
+                    raise DatasetError(f"mask {mask_path} is {mraw.shape[1]}x{mraw.shape[0]} "
+                                       f"pixels, its image is {arr.shape[1]}x{arr.shape[0]}")
                 mask = (mraw > 127).astype(np.uint8)
             else:
                 mask = np.zeros_like(arr, dtype=np.uint8)

@@ -5,9 +5,9 @@ For each vision level, a per-state gating MLP turns the level's global
 context vector into softmax weights over the N text levels; the weighted
 text features give that level its normal/abnormal descriptors, and a
 temperature softmax over patchwise cosine similarities yields the level
-map. The aggregated map is the plain mean across levels. Static mode
-replaces the gate with a one-hot alignment of vision level i to text
-level i; uniform mode averages all text levels equally.
+map. The aggregated map is the plain mean across levels. A gateway built
+with `dynamic=False` has no gate and aligns vision level i one-hot to text
+level i.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .tensor import (NORM_FLOOR, Tensor, bilinear_upsample, concat, gap, matmul,
                      maximum_const, parameter, reshape, softmax, sqrt, tanh, tsum)
 
 STATES = ("normal", "abnormal")
-FUSION_MODES = ("dynamic", "static", "uniform")
 
 
 class AnomalyMap:
@@ -108,15 +107,8 @@ class FusionGateway:
         probs = softmax(concat(sims, axis=2) * (1.0 / self.temperature), axis=-1)
         return reshape(probs[:, :, 1], (b, grid[0], grid[1]))
 
-    def forward(self, v_list, t_feats, grid, pixel_hw, mode="dynamic",
-                override_weights=None):
-        """Per-level maps, their mean, and the upsampled mean.
-
-        `override_weights(level, state_index)` may return a (B, N) array to
-        force the fusion weights at one site (ablation and identity tests).
-        """
-        if mode not in FUSION_MODES:
-            raise ConfigurationError(f"fusion mode {mode!r} not in {FUSION_MODES}")
+    def forward(self, v_list, t_feats, grid, pixel_hw):
+        """Per-level maps, their mean, and the upsampled mean."""
         if len(v_list) != self.n_groups or len(t_feats) != self.n_groups:
             raise ShapeError(f"expected {self.n_groups} levels")
         b = v_list[0].data.shape[0]
@@ -127,18 +119,12 @@ class FusionGateway:
             v_glob = gap(v_list[i])
             fused = []
             for s in range(len(STATES)):
-                forced = override_weights(i, s) if override_weights else None
-                if forced is not None:
-                    w = Tensor(np.broadcast_to(np.asarray(forced, dtype=np.float64),
-                                               (b, n)).copy())
-                elif mode == "dynamic":
+                if self.dynamic:
                     w = self.fusion_weights(v_glob, STATES[s])
-                elif mode == "static":
+                else:
                     row = np.zeros(n)
                     row[i] = 1.0
                     w = Tensor(np.broadcast_to(row, (b, n)).copy())
-                else:
-                    w = Tensor(np.full((b, n), 1.0 / n))
                 weights_used[(i, s)] = w.data.copy()
                 fused.append(self.fuse_text(w, [t_feats[j][s] for j in range(n)]))
             per_level.append(self.level_map(v_list[i], fused[0], fused[1], grid))

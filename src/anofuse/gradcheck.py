@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, grad, no_grad
+from .tensor import grad, no_grad
 
 
 @dataclass
@@ -22,14 +22,13 @@ class GradCheckResult:
         return not self.failures and self.max_rel_err < rtol
 
 
-def finite_difference(f, params, h=1e-5, param_names=None):
-    """Central-difference gradient of scalar f() w.r.t. each param element.
+def finite_difference(f, params, names, h=1e-5):
+    """Central-difference gradient of the scalar tensor f() w.r.t. each
+    element of the params listed in `names`.
 
     f must read parameter values from the .data arrays in `params`, which
     are perturbed in place and restored. Runs with autodiff disabled.
     """
-    names = param_names if param_names is not None else [
-        k for k, p in params.items() if p.trainable]
     out = {}
     with no_grad():
         for name in names:
@@ -40,19 +39,13 @@ def finite_difference(f, params, h=1e-5, param_names=None):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                f_plus = _scalar(f())
+                f_plus = float(f().data)
                 flat[i] = orig - h
-                f_minus = _scalar(f())
+                f_minus = float(f().data)
                 flat[i] = orig
                 gflat[i] = (f_plus - f_minus) / (2.0 * h)
             out[name] = g
     return out
-
-
-def _scalar(v):
-    if isinstance(v, Tensor):
-        return float(v.data)
-    return float(v)
 
 
 def compare_gradients(analytic, numeric, rtol=1e-4, floor=1e-8, missing_floor=1e-5):
@@ -89,5 +82,5 @@ def check_gradients(f, params, h=1e-5, rtol=1e-4, floor=1e-8):
     """Run analytic and numeric gradients of f and compare them."""
     loss = f()
     analytic = grad(loss, params)
-    numeric = finite_difference(f, params, h=h, param_names=sorted(analytic))
+    numeric = finite_difference(f, params, sorted(analytic), h=h)
     return compare_gradients(analytic, numeric, rtol=rtol, floor=floor)

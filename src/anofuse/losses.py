@@ -6,16 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import LossConfig
-from .errors import ConfigurationError, TrainingError
-from .tensor import (NORM_FLOOR, Tensor, clip, concat, log, matmul, maximum_const,
-                     reshape, softmax, sqrt, tmean, tsum)
+from .config import RunConfig
+from .errors import ConfigurationError
+from .tensor import (NORM_FLOOR, _as_tensor, clip, concat, log, maximum_const, reshape,
+                     softmax, sqrt, tmean, tsum)
 
 CLAMP_EPS = 1e-7
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def focal_loss(pred, target, gamma=2.0, alpha=0.25):
@@ -43,7 +39,7 @@ def dice_loss(pred, target, smooth=1.0):
     return 1.0 - (2.0 * inter + smooth) / (denom + smooth)
 
 
-def seg_loss(pred, target, cfg: LossConfig):
+def seg_loss(pred, target, cfg: RunConfig):
     """Weighted focal + dice on the (upsampled) aggregated map."""
     return (focal_loss(pred, target, cfg.focal_gamma, cfg.focal_alpha) * cfg.lambda_focal
             + dice_loss(pred, target, cfg.dice_smooth) * cfg.lambda_dice)
@@ -76,11 +72,9 @@ def cls_loss(v_cls, anchor, temperature, labels):
     return -tmean(log(clip(picked, CLAMP_EPS * CLAMP_EPS, 1.0)))
 
 
-def total_loss(seg, cls, cfg: LossConfig):
-    for part, label in ((seg, "seg"), (cls, "cls")):
-        val = part.data if isinstance(part, Tensor) else part
-        if not np.all(np.isfinite(val)):
-            raise TrainingError(f"non-finite {label} loss")
+def total_loss(seg, cls, cfg: RunConfig):
+    """Weighted sum; a non-finite result is caught by `tensor.grad`, which
+    raises TrainingError with a snapshot of the parameters."""
     return seg + cls * cfg.lambda_cls
 
 
@@ -92,9 +86,9 @@ def image_score(p_abnormal, upsampled_map):
     return 0.5 * (p_abnormal + peak)
 
 
-def model_loss(model, images, masks, labels, cfg: LossConfig, fusion=None, outputs=None):
+def model_loss(model, images, masks, labels, cfg: RunConfig):
     """Total, segmentation, and classification losses for one batch."""
-    out = outputs if outputs is not None else model.forward(images, fusion=fusion)
+    out = model.forward(images)
     seg = seg_loss(out.amap.upsampled, masks, cfg)
     cls = cls_loss(out.v_cls, out.anchor, model.config.temperature, labels)
     return total_loss(seg, cls, cfg), seg, cls, out

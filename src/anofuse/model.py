@@ -5,7 +5,8 @@ Every vision group ends with a residual adapter on the patch tokens (the
 multi-branch convolutional one, or a plain low-rank one for the ablation
 baseline) and every text group ends with a plain low-rank residual. Only
 adapters, text residuals, and the fusion gateway train; backbone weights
-are drawn once from the model seed and never receive gradients.
+are drawn once from the model seed and never receive gradients. There is
+one forward path and it keeps no intermediate state between calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .adapter import ConvLoraAdapter, LowRankAdapter
 from .config import RunConfig
 from .errors import ConfigurationError, ShapeError
 from .gateway import STATES, FusionGateway
-from .tensor import Tensor, gelu, layer_norm, linear, matmul, parameter, reshape, softmax, transpose
+from .tensor import Tensor, gelu, layer_norm, matmul, parameter, reshape, softmax, transpose
 
 MLP_RATIO = 4
 TEXT_CAPACITY = 8
@@ -130,46 +131,21 @@ class GroupedModel:
         seq = np.concatenate([cls, tokens], axis=1) + self.vis_pos.data
         return Tensor(seq)
 
-    def vision_forward(self, images, cache=None):
+    def vision_forward(self, images):
         """Run all vision groups; adapters update patch tokens after each group.
 
         Returns (V_list, v_cls_final): V_list[i] is the post-adapter patch
-        token tensor of group i, v_cls_final the final class token. When
-        `cache` is a dict it receives the token state entering each group
-        ("entry", g) and the state after each group's blocks ("mid", g).
+        token tensor of group i, v_cls_final the final class token.
         """
         x = self.patchify(images)
         v_list = []
         for g in range(self.config.n_groups):
-            if cache is not None:
-                cache[("entry", g)] = x.data.copy()
             for block in self.vision_groups[g]:
                 x = block(x)
-            if cache is not None:
-                cache[("mid", g)] = x.data.copy()
-            x, v_i = self._apply_vision_adapter(x, g)
-            v_list.append(v_i)
-        return v_list, x[:, 0, :]
-
-    def _apply_vision_adapter(self, x, g):
-        patches = x[:, 1:, :]
-        delta = self.vision_adapters[g](patches, self.grid)
-        patches = patches + delta
-        x = tt.concat([x[:, :1, :], patches], axis=1)
-        return x, patches
-
-    def vision_forward_from(self, g0, mid_state):
-        """Resume the vision path at group g0's adapter, given the cached
-        token state after g0's blocks. Used by the staged gradient check."""
-        x = Tensor(mid_state)
-        v_list = []
-        x, v_i = self._apply_vision_adapter(x, g0)
-        v_list.append(v_i)
-        for g in range(g0 + 1, self.config.n_groups):
-            for block in self.vision_groups[g]:
-                x = block(x)
-            x, v_i = self._apply_vision_adapter(x, g)
-            v_list.append(v_i)
+            patches = x[:, 1:, :]
+            patches = patches + self.vision_adapters[g](patches, self.grid)
+            x = tt.concat([x[:, :1, :], patches], axis=1)
+            v_list.append(patches)
         return v_list, x[:, 0, :]
 
     # ------------------------------------------------------------------
@@ -180,7 +156,7 @@ class GroupedModel:
         seq = self.tok_embed.data[list(ids)] + self.txt_pos.data[:len(ids)]
         return Tensor(seq[None, :, :])
 
-    def text_forward(self, cache=None):
+    def text_forward(self):
         """Per-state, per-group pooled text features.
 
         Returns (t_feats, anchor): t_feats[g][s] is a (C,) tensor for group g
@@ -191,8 +167,6 @@ class GroupedModel:
         for s, state in enumerate(STATES):
             x = self.embed_prompt(state)
             for g in range(self.config.n_groups):
-                if cache is not None:
-                    cache[("text", state, g)] = x.data.copy()
                 for block in self.text_groups[g]:
                     x = block(x)
                 x = x + self.text_loras[g](x)
@@ -200,28 +174,14 @@ class GroupedModel:
         anchor = tuple(t_feats[-1])
         return t_feats, anchor
 
-    def text_forward_from(self, state, g0, entry_state):
-        """Resume one state's text path at group g0 from a cached entry state.
-        Returns the pooled features of groups g0.. for that state."""
-        x = Tensor(entry_state)
-        pooled = {}
-        for g in range(g0, self.config.n_groups):
-            for block in self.text_groups[g]:
-                x = block(x)
-            x = x + self.text_loras[g](x)
-            pooled[g] = x[0, -1, :]
-        return pooled
-
     # ------------------------------------------------------------------
 
-    def forward(self, images, fusion=None, cache=None):
+    def forward(self, images):
         """Full pipeline: encoders, gateway, per-level and aggregated maps."""
-        v_list, v_cls = self.vision_forward(images, cache=cache)
-        t_feats, anchor = self.text_forward(cache=cache)
-        fusion = fusion or ("dynamic" if self.config.dfg_on else "static")
+        v_list, v_cls = self.vision_forward(images)
+        t_feats, anchor = self.text_forward()
         amap = self.gateway.forward(v_list, t_feats, self.grid,
-                                    (self.config.image_size, self.config.image_size),
-                                    mode=fusion)
+                                    (self.config.image_size, self.config.image_size))
         return ModelOutputs(v_list=v_list, v_cls=v_cls, t_feats=t_feats,
                             anchor=anchor, amap=amap)
 

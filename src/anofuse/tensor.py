@@ -12,8 +12,6 @@ are (B, C, H, W).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, TrainingError
@@ -51,20 +49,6 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._vjp = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def __repr__(self):
         flag = " trainable" if self.trainable else ""
@@ -346,22 +330,6 @@ def softmax(a, axis=-1):
     return _node(out_data, (a,), vjp)
 
 
-def softmax_vec(v, temperature=1.0):
-    """Softmax of a vector of logits at a given temperature.
-
-    Outputs are positive, sum to one, and are invariant under adding a
-    constant to every logit.
-    """
-    if temperature <= 0:
-        raise ConfigurationError(f"softmax temperature must be positive, got {temperature}")
-    if isinstance(v, Tensor):
-        return softmax(v * (1.0 / temperature), axis=-1)
-    v = np.asarray(v, dtype=np.float64)
-    shifted = v / temperature - (v / temperature).max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def layer_norm(a, eps=1e-5):
     """LayerNorm over the last axis, no affine parameters."""
     mu = a.data.mean(axis=-1, keepdims=True)
@@ -489,26 +457,9 @@ def conv2d_same(x, w):
 
 def gap(x):
     """Global average pool over the token axis of a (B, L, C) sequence."""
-    if isinstance(x, Tensor):
-        if x.data.ndim != 3:
-            raise ShapeError("gap expects a (B, L, C) sequence")
-        return tmean(x, axis=1)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
+    if x.data.ndim != 3:
         raise ShapeError("gap expects a (B, L, C) sequence")
-    return x.mean(axis=1)
-
-
-def cosine_sim(a, b):
-    """Cosine similarity of two vectors; 0 (with a warning) on zero norms."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    na = np.sqrt(a @ a)
-    nb = np.sqrt(b @ b)
-    if na == 0.0 or nb == 0.0:
-        warnings.warn("zero-norm input to cosine_sim; returning 0", RuntimeWarning)
-        return 0.0
-    return float((a @ b) / (na * nb))
+    return tmean(x, axis=1)
 
 
 # floor applied to norms inside differentiable cosine paths; far below any

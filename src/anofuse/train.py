@@ -10,6 +10,7 @@ import numpy as np
 from .config import RunConfig
 from .data import batch_arrays, get_corpora
 from .errors import TrainingError
+from .gateway import STATES
 from .losses import cls_probs, image_score, model_loss
 from .metrics import MetricsReport, auroc, average_precision, gate_entropy
 from .model import build_model
@@ -69,7 +70,6 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
     config.validate()
     model = build_model(config)
     train_samples, test_samples = corpora if corpora is not None else get_corpora(config)
-    lc = config.loss_config()
     opt = Adam(model.trainable_params(), config.lr)
     batches = _batch_indices(len(train_samples), config.batch_size,
                              np.random.default_rng(config.data_seed + 10_000))
@@ -78,7 +78,7 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
         idx = next(batches)
         images, masks, labels = batch_arrays([train_samples[i] for i in idx])
         try:
-            total, seg, cls, _ = model_loss(model, images, masks, labels, lc)
+            total, seg, cls, _ = model_loss(model, images, masks, labels, config)
             grads = grad(total, model.trainable_params())
         except TrainingError as exc:
             exc.trace = trace
@@ -89,31 +89,35 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
                        train_samples=train_samples, test_samples=test_samples)
 
 
-def evaluate(model, samples, batch_size=EVAL_BATCH) -> MetricsReport:
-    """Pixel metrics pool every test pixel; image metrics use image_score."""
-    pixel_scores, pixel_labels = [], []
-    image_scores, image_labels = [], []
-    weight_rows = {}
+def predict(model, samples):
+    """Batched no-grad inference over `samples`.
+
+    Returns (maps, scores, fusion_weights): the (N, H, W) upsampled anomaly
+    maps, the (N,) image scores, and for each (level, state index) the
+    (N, n_groups) fusion weight rows.
+    """
+    maps, scores, weights = [], [], {}
     with no_grad():
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start:start + batch_size]
-            images, masks, labels = batch_arrays(chunk)
+        for start in range(0, len(samples), EVAL_BATCH):
+            images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
             out = model.forward(images)
             up = out.amap.upsampled.data
             p_abn = cls_probs(out.v_cls, out.anchor, model.config.temperature).data[:, 1]
-            image_scores.append(image_score(p_abn, up))
-            image_labels.append(labels)
-            pixel_scores.append(up.reshape(-1))
-            pixel_labels.append(masks.reshape(-1).astype(np.int64))
+            maps.append(up)
+            scores.append(image_score(p_abn, up))
             for key, rows in out.amap.fusion_weights.items():
-                weight_rows.setdefault(key, []).append(rows)
-    pixel_scores = np.concatenate(pixel_scores)
-    pixel_labels = np.concatenate(pixel_labels)
-    image_scores = np.concatenate(image_scores)
-    image_labels = np.concatenate(image_labels)
-    from .gateway import STATES
-    entropy = {(i, STATES[s]): gate_entropy(np.concatenate(rows))
-               for (i, s), rows in weight_rows.items()}
+                weights.setdefault(key, []).append(rows)
+    return (np.concatenate(maps), np.concatenate(scores),
+            {key: np.concatenate(rows) for key, rows in weights.items()})
+
+
+def evaluate(model, samples) -> MetricsReport:
+    """Pixel metrics pool every test pixel; image metrics use image_score."""
+    maps, image_scores, weights = predict(model, samples)
+    _, masks, image_labels = batch_arrays(samples)
+    pixel_scores = maps.reshape(-1)
+    pixel_labels = masks.reshape(-1).astype(np.int64)
+    entropy = {(i, STATES[s]): gate_entropy(rows) for (i, s), rows in weights.items()}
     return MetricsReport(
         pixel_auroc=auroc(pixel_scores, pixel_labels),
         pixel_ap=average_precision(pixel_scores, pixel_labels),

@@ -1,11 +1,11 @@
-"""Full-model gradient verification against central finite differences.
+"""Full-model gradient verification against central finite differences,
+and the reference implementations (oracles) that `run_selftest` and the
+tests compare the program against.
 
-Perturbing one parameter only invalidates the pipeline downstream of it,
-so the finite-difference loop resumes from cached intermediate states:
-gateway parameters re-run just the fusion and losses, text residuals re-run
-their text groups onward, vision adapters re-run their group's adapter and
-everything after it. Every partial evaluator is checked to reproduce the
-reference loss bit-for-bit before any perturbation happens.
+The gradient suite hands the whole model loss to the generic
+finite-difference loop in `gradcheck`: every perturbed evaluation re-runs
+the full forward pass, so no intermediate state is cached between
+evaluations.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .gateway import STATES
-from .gradcheck import GradCheckResult, compare_gradients
-from .losses import cls_loss, model_loss, seg_loss
-from .tensor import Tensor, grad, no_grad
+from .gradcheck import GradCheckResult, check_gradients
+from .losses import model_loss
+from .tensor import Tensor, conv2d_same, no_grad, reshape_2d_to_seq, reshape_seq_to_2d
 
 
 def randomize_trainables(model, seed, scale=0.2, out_boost=3.0):
@@ -36,88 +36,11 @@ def randomize_trainables(model, seed, scale=0.2, out_boost=3.0):
         params[name].data[:] = rng.normal(0.0, s, params[name].data.shape)
 
 
-def staged_gradient_check(model, images, masks, labels, loss_cfg,
-                          h=1e-5, rtol=1e-4, floor=1e-8, progress=None):
-    """Compare reverse-mode gradients of the total loss with central
-    finite differences, elementwise over every trainable parameter."""
-    fusion = "dynamic" if model.config.dfg_on else "static"
-    tau = model.config.temperature
-    pixel_hw = (model.config.image_size, model.config.image_size)
-    lam_cls = loss_cfg.lambda_cls
-
-    cache = {}
-    out = model.forward(images, fusion=fusion, cache=cache)
-    total, _, _, _ = model_loss(model, images, masks, labels, loss_cfg, outputs=out)
-    reference = float(total.data)
-    analytic = grad(total, model.trainable_params())
-
-    cached_v = [Tensor(v.data) for v in out.v_list]
-    cached_vcls = Tensor(out.v_cls.data)
-    cached_t = [[Tensor(t.data) for t in row] for row in out.t_feats]
-
-    def loss_tail(v_list, v_cls, t_feats):
-        amap = model.gateway.forward(v_list, t_feats, model.grid, pixel_hw, mode=fusion)
-        seg = seg_loss(amap.upsampled, masks, loss_cfg)
-        cls = cls_loss(v_cls, (t_feats[-1][0], t_feats[-1][1]), tau, labels)
-        return float(seg.data) + lam_cls * float(cls.data)
-
-    def eval_gateway():
-        return loss_tail(cached_v, cached_vcls, cached_t)
-
-    def make_vision(g):
-        mid = cache[("mid", g)]
-
-        def eval_vision():
-            v_tail, v_cls = model.vision_forward_from(g, mid)
-            return loss_tail(cached_v[:g] + v_tail, v_cls, cached_t)
-        return eval_vision
-
-    def make_text(g):
-        entries = {state: cache[("text", state, g)] for state in STATES}
-
-        def eval_text():
-            t_feats = [list(row) for row in cached_t]
-            for s, state in enumerate(STATES):
-                for gg, feat in model.text_forward_from(state, g, entries[state]).items():
-                    t_feats[gg][s] = feat
-            return loss_tail(cached_v, cached_vcls, t_feats)
-        return eval_text
-
-    def route(name):
-        if name.startswith("gateway."):
-            return eval_gateway
-        head, rest = name.split(".g", 1)
-        g = int(rest.split(".", 1)[0])
-        return make_vision(g) if head == "vision" else make_text(g)
-
-    params = model.trainable_params()
-    numeric = {}
-    with no_grad():
-        for name in sorted(params):
-            f = route(name)
-            if f() != reference:
-                raise AssertionError(f"staged evaluator for {name} diverges from reference")
-            p = params[name]
-            flat = p.data.ravel()
-            g_out = np.zeros(flat.size)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                f_plus = f()
-                flat[i] = orig - h
-                f_minus = f()
-                flat[i] = orig
-                g_out[i] = (f_plus - f_minus) / (2.0 * h)
-            numeric[name] = g_out.reshape(p.data.shape)
-            if progress:
-                progress(name, flat.size)
-    return compare_gradients(analytic, numeric, rtol=rtol, floor=floor)
-
-
 def full_model_gradient_suite(config, seed=11, scale=0.2, h=1e-5, rtol=1e-4,
-                              floor=1e-8, progress=None) -> GradCheckResult:
+                              floor=1e-8) -> GradCheckResult:
     """Build the model from config, move trainables to a generic point, and
-    run the staged finite-difference comparison on one batch."""
+    compare reverse-mode gradients of the total loss on one batch with
+    central finite differences, elementwise over every trainable parameter."""
     from .data import batch_arrays, gen_synthetic
     from .model import build_model
 
@@ -131,8 +54,107 @@ def full_model_gradient_suite(config, seed=11, scale=0.2, h=1e-5, rtol=1e-4,
             if samples[0].label == 1:
                 break
     images, masks, labels = batch_arrays(samples)
-    return staged_gradient_check(model, images, masks, labels, config.loss_config(),
-                                 h=h, rtol=rtol, floor=floor, progress=progress)
+    return check_gradients(lambda: model_loss(model, images, masks, labels, config)[0],
+                           model.trainable_params(), h=h, rtol=rtol, floor=floor)
+
+
+# ---------------------------------------------------------------------------
+# oracles: straight-line numpy recomputations of what the program computes
+
+
+def conv2d_loops(x, w):
+    """Direct nested-loop convolution with zero 'same' padding."""
+    bsz, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    p = (k - 1) // 2
+    y = np.zeros((bsz, cout, h, wd))
+    for b in range(bsz):
+        for co in range(cout):
+            for hh in range(h):
+                for ww in range(wd):
+                    acc = 0.0
+                    for ci in range(cin):
+                        for i in range(k):
+                            for j in range(k):
+                                src_h, src_w = hh + i - p, ww + j - p
+                                if 0 <= src_h < h and 0 <= src_w < wd:
+                                    acc += x[b, ci, src_h, src_w] * w[co, ci, i, j]
+                    y[b, co, hh, ww] = acc
+    return y
+
+
+def adapter_branch_composition(x, adapter, k, grid):
+    """One Conv-LoRA branch on (B, L, C) array tokens: bottleneck, two
+    1/k-scaled k x k convolutions, up-projection."""
+    z = reshape_seq_to_2d(x @ adapter.w_down.data, grid)
+    with no_grad():
+        z = conv2d_same(Tensor(z), adapter.conv_down[k]).data / k
+        z = conv2d_same(Tensor(z), adapter.conv_up[k]).data / k
+    return reshape_2d_to_seq(z) @ adapter.w_up.data
+
+
+def adapter_composition(x, adapter, grid):
+    """Conv-LoRA residual update: every branch, concatenated along channels,
+    fused by the 1x1 convolution."""
+    spatial = [reshape_seq_to_2d(adapter_branch_composition(x, adapter, k, grid), grid)
+               for k in adapter.branch_kernels]
+    with no_grad():
+        fused = conv2d_same(Tensor(np.concatenate(spatial, axis=1)), adapter.fuse_1x1).data
+    return reshape_2d_to_seq(fused)
+
+
+def gateway_composition(gateway, v_list, t_feats, grid):
+    """Per-level maps of a dynamic gateway: pool, gate, normalise, fuse,
+    cosine, two-way softmax at the gateway's temperature."""
+    n = len(v_list)
+    maps = []
+    for i in range(n):
+        v = v_list[i].data
+        vg = v.mean(axis=1)
+        nv = np.sqrt((v * v).sum(axis=2))
+        sims = []
+        for s, state in enumerate(STATES):
+            logits = np.tanh(vg @ gateway.w1[state].data) @ gateway.w2[state].data
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            t = (e / e.sum(axis=1, keepdims=True)) @ np.stack([t_feats[j][s].data
+                                                               for j in range(n)])
+            nt = np.sqrt((t * t).sum(axis=1))
+            sims.append((v * t[:, None, :]).sum(axis=2) / (nv * nt[:, None]))
+        z = np.stack(sims, axis=-1) / gateway.temperature
+        ez = np.exp(z - z.max(axis=-1, keepdims=True))
+        maps.append((ez[..., 1] / ez.sum(axis=-1)).reshape(v.shape[0], *grid))
+    return maps
+
+
+def auroc_pairs(scores, labels):
+    """All positive/negative pairs: wins count 1, ties count half."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def ap_sweep(scores, labels):
+    """Exhaustive threshold sweep, descending, recomputing TP/FP per step."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(labels.sum())
+    ap, prev_tp = 0.0, 0
+    for t in np.unique(scores)[::-1]:
+        sel = scores >= t
+        tp = int(labels[sel].sum())
+        if tp > prev_tp:
+            ap += ((tp - prev_tp) / n_pos) * (tp / int(sel.sum()))
+        prev_tp = tp
+    return ap
+
+
+def half_bce(pred, target):
+    """Half the mean binary cross-entropy: the focal loss at gamma=0, alpha=1/2."""
+    return -0.5 * (target * np.log(pred) + (1 - target) * np.log(1 - pred)).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +167,14 @@ def _selftest_config():
                      patch_size=8, image_size=16, defect_min=3, defect_max=8)
 
 
-def _auroc_pairs(scores, labels):
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return (wins + 0.5 * ties) / (pos.size * neg.size)
-
-
-def _ap_sweep(scores, labels):
-    n_pos = int(labels.sum())
-    ap, prev_tp = 0.0, 0
-    for t in np.unique(scores)[::-1]:
-        sel = scores >= t
-        tp = int(labels[sel].sum())
-        if tp > prev_tp:
-            ap += ((tp - prev_tp) / n_pos) * (tp / int(sel.sum()))
-        prev_tp = tp
-    return ap
-
-
 def run_selftest(log=print):
     """Gradient checks and oracle suites; True when everything passes."""
     from .adapter import ConvLoraAdapter
+    from .config import RunConfig
     from .gateway import FusionGateway
     from .losses import dice_loss, focal_loss, seg_loss
     from .metrics import auroc, average_precision
-    from .tensor import conv2d_same, reshape_2d_to_seq, reshape_seq_to_2d, softmax_vec
+    from .tensor import softmax
 
     ok = True
 
@@ -187,27 +190,16 @@ def run_selftest(log=print):
     report("reshape roundtrip bit-exact", bool((back == x).all()))
 
     v = rng.normal(size=6) * 8
-    w = softmax_vec(v)
+    w = softmax(Tensor(v)).data
     report("softmax normalization and shift invariance",
            abs(w.sum() - 1.0) < 1e-12
-           and np.abs(w - softmax_vec(v + 3.0)).max() < 1e-12)
+           and np.abs(w - softmax(Tensor(v + 3.0)).data).max() < 1e-12)
 
     xs = rng.normal(size=(1, 2, 5, 5))
     ks = rng.normal(size=(2, 2, 3, 3))
-    ref = np.zeros((1, 2, 5, 5))
-    for co in range(2):
-        for hh in range(5):
-            for ww in range(5):
-                acc = 0.0
-                for ci in range(2):
-                    for i in range(3):
-                        for j in range(3):
-                            sh, sw = hh + i - 1, ww + j - 1
-                            if 0 <= sh < 5 and 0 <= sw < 5:
-                                acc += xs[0, ci, sh, sw] * ks[co, ci, i, j]
-                ref[0, co, hh, ww] = acc
     got = conv2d_same(Tensor(xs), Tensor(ks)).data
-    report("convolution vs nested-loop reference", np.abs(got - ref).max() < 1e-12)
+    report("convolution vs nested-loop reference",
+           np.abs(got - conv2d_loops(xs, ks)).max() < 1e-12)
 
     metric_ok = True
     for _ in range(200):
@@ -216,8 +208,8 @@ def run_selftest(log=print):
         labels = rng.integers(0, 2, n)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
-        metric_ok &= auroc(scores, labels) == _auroc_pairs(scores, labels)
-        metric_ok &= average_precision(scores, labels) == _ap_sweep(scores, labels)
+        metric_ok &= auroc(scores, labels) == auroc_pairs(scores, labels)
+        metric_ok &= average_precision(scores, labels) == ap_sweep(scores, labels)
     report("auroc/ap equal brute-force oracles (200 tied instances)", metric_ok)
 
     ad = ConvLoraAdapter(4, 2, (3, 5), rng=np.random.default_rng(3))
@@ -225,18 +217,8 @@ def run_selftest(log=print):
     xa = rng.normal(size=(1, 9, 4))
     with no_grad():
         got = ad(Tensor(xa), (3, 3)).data
-    parts = []
-    for k in ad.branch_kernels:
-        z = xa @ ad.w_down.data
-        z = reshape_seq_to_2d(z, (3, 3))
-        with no_grad():
-            z = conv2d_same(Tensor(z), ad.conv_down[k]).data / k
-            z = conv2d_same(Tensor(z), ad.conv_up[k]).data / k
-        parts.append(reshape_seq_to_2d(reshape_2d_to_seq(z) @ ad.w_up.data, (3, 3)))
-    with no_grad():
-        fused = conv2d_same(Tensor(np.concatenate(parts, axis=1)), ad.fuse_1x1).data
     report("adapter matches straight-line composition",
-           np.abs(got - reshape_2d_to_seq(fused)).max() < 1e-12)
+           np.abs(got - adapter_composition(xa, ad, (3, 3))).max() < 1e-12)
 
     gw = FusionGateway(5, 2, 3, 0.07, dynamic=True, rng=np.random.default_rng(4))
     for state in gw.w2:
@@ -244,39 +226,21 @@ def run_selftest(log=print):
     v_list = [Tensor(rng.normal(size=(2, 9, 5))) for _ in range(2)]
     t_feats = [[Tensor(rng.normal(size=(5,))) for _ in range(2)] for _ in range(2)]
     with no_grad():
-        amap = gw.forward(v_list, t_feats, (3, 3), (9, 9), mode="dynamic")
-    maps = []
-    for i in range(2):
-        vg = v_list[i].data.mean(axis=1)
-        fused = []
-        for s, state in enumerate(("normal", "abnormal")):
-            logits = np.tanh(vg @ gw.w1[state].data) @ gw.w2[state].data
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            fused.append((e / e.sum(axis=1, keepdims=True))
-                         @ np.stack([t_feats[j][s].data for j in range(2)]))
-        vv = v_list[i].data
-        nv = np.sqrt((vv * vv).sum(axis=2))
-        sims = []
-        for t in fused:
-            nt = np.sqrt((t * t).sum(axis=1))
-            sims.append((vv * t[:, None, :]).sum(axis=2) / (nv * nt[:, None]))
-        z = np.stack(sims, axis=-1) / 0.07
-        ez = np.exp(z - z.max(axis=-1, keepdims=True))
-        maps.append((ez[..., 1] / ez.sum(axis=-1)).reshape(2, 3, 3))
+        amap = gw.forward(v_list, t_feats, (3, 3), (9, 9))
+    maps = gateway_composition(gw, v_list, t_feats, (3, 3))
     report("gateway matches straight-line composition",
            np.abs(amap.aggregated.data - np.mean(maps, axis=0)).max() < 1e-12)
 
     pred = rng.uniform(0.02, 0.98, (6, 6))
     target = (rng.uniform(size=(6, 6)) > 0.5).astype(float)
-    bce = -(target * np.log(pred) + (1 - target) * np.log(1 - pred)).mean()
     f0 = float(focal_loss(pred, target, gamma=0.0, alpha=0.5).data)
-    report("focal(gamma=0, alpha=1/2) reduces to BCE/2", abs(f0 - 0.5 * bce) < 1e-12)
+    report("focal(gamma=0, alpha=1/2) reduces to BCE/2",
+           abs(f0 - half_bce(pred, target)) < 1e-12)
 
-    from .config import LossConfig
-    lc = LossConfig()
-    seg = float(seg_loss(pred, target, lc).data)
-    want = (float(focal_loss(pred, target, lc.focal_gamma, lc.focal_alpha).data)
-            + float(dice_loss(pred, target, lc.dice_smooth).data))
+    cfg = RunConfig()
+    seg = float(seg_loss(pred, target, cfg).data)
+    want = (float(focal_loss(pred, target, cfg.focal_gamma, cfg.focal_alpha).data)
+            + float(dice_loss(pred, target, cfg.dice_smooth).data))
     report("segmentation loss additivity", abs(seg - want) < 1e-12)
 
     res = full_model_gradient_suite(_selftest_config(), seed=39)

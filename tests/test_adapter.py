@@ -5,6 +5,7 @@ from anofuse import tensor as T
 from anofuse.adapter import ConvLoraAdapter, LowRankAdapter
 from anofuse.errors import ConfigurationError
 from anofuse.gradcheck import check_gradients
+from anofuse.verify import adapter_branch_composition, adapter_composition
 
 
 def make_adapter(channels=4, rank=2, kernels=(3, 5), seed=0, randomize_up=False):
@@ -13,22 +14,6 @@ def make_adapter(channels=4, rank=2, kernels=(3, 5), seed=0, randomize_up=False)
         rng = np.random.default_rng(seed + 100)
         ad.w_up.data[:] = rng.normal(0.0, 0.5, ad.w_up.data.shape)
     return ad
-
-
-def oracle_branch(x, ad, k, grid):
-    """Straight-line composition of the published branch recipe in numpy."""
-    z = x @ ad.w_down.data
-    z = T.reshape_seq_to_2d(z, grid)
-    z = T.conv2d_same(T.Tensor(z), ad.conv_down[k]).data / k
-    z = T.conv2d_same(T.Tensor(z), ad.conv_up[k]).data / k
-    return T.reshape_2d_to_seq(z) @ ad.w_up.data
-
-
-def oracle_adapter(x, ad, grid):
-    spatial = [T.reshape_seq_to_2d(oracle_branch(x, ad, k, grid), grid)
-               for k in ad.branch_kernels]
-    fused = T.conv2d_same(T.Tensor(np.concatenate(spatial, axis=1)), ad.fuse_1x1).data
-    return T.reshape_2d_to_seq(fused)
 
 
 def test_zero_init_branch_and_adapter_are_zero():
@@ -65,7 +50,7 @@ def test_branch_matches_composition_oracle():
     x = rng.normal(size=(1, 9, 4))
     for k in ad.branch_kernels:
         got = ad.branch_forward(T.Tensor(x), k, (3, 3)).data
-        want = oracle_branch(x, ad, k, (3, 3))
+        want = adapter_branch_composition(x, ad, k, (3, 3))
         assert np.abs(got - want).max() < 1e-12
         assert got.shape == (1, 9, 4)
 
@@ -76,7 +61,7 @@ def test_adapter_matches_composition_oracle():
         rng = np.random.default_rng(50 + seed)
         x = rng.normal(size=(2, 9, 4))
         got = ad(T.Tensor(x), (3, 3)).data
-        want = oracle_adapter(x, ad, (3, 3))
+        want = adapter_composition(x, ad, (3, 3))
         assert np.abs(got - want).max() < 1e-12
 
 

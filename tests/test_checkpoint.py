@@ -1,0 +1,61 @@
+import numpy as np
+import pytest
+
+from anofuse.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from anofuse.config import RunConfig
+from anofuse.errors import DatasetError
+from anofuse.model import build_model
+
+
+def tiny_config():
+    return RunConfig(n_groups=2, channels=8, heads=2, rank=2, gate_hidden=2,
+                     branch_kernels=(3,), patch_size=8, image_size=16,
+                     defect_min=3, defect_max=8)
+
+
+@pytest.fixture
+def saved(tmp_path):
+    model = build_model(tiny_config())
+    rng = np.random.default_rng(0)
+    for p in model.trainable_params().values():
+        p.data[:] = rng.normal(size=p.data.shape)
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(model, path, step=7)
+    return model, path
+
+
+def test_save_load_save_is_byte_identical(saved, tmp_path):
+    model, path = saved
+    loaded, step = load_checkpoint(path)
+    assert step == 7
+    assert loaded.config == model.config
+    for name, p in model.named_params().items():
+        np.testing.assert_array_equal(loaded.named_params()[name].data, p.data)
+    save_checkpoint(loaded, tmp_path / "b.ckpt", step=step)
+    assert (tmp_path / "b.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_bad_magic_rejected(saved):
+    _, path = saved
+    path.write_bytes(b"not-a-checkpoint\n" + path.read_bytes()[len(MAGIC):])
+    with pytest.raises(DatasetError, match="bad magic"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep", [0.001, 0.01, 0.5, 0.999])
+def test_truncation_rejected(saved, keep):
+    _, path = saved
+    blob = path.read_bytes()
+    path.write_bytes(blob[:int(len(blob) * keep)])
+    with pytest.raises(DatasetError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_shape_mismatch_rejected(saved):
+    _, path = saved
+    blob = path.read_bytes()
+    header = b"text.g0.lora.w_up 2,8 1\n"
+    assert header in blob
+    path.write_bytes(blob.replace(header, b"text.g0.lora.w_up 8,2 1\n"))
+    with pytest.raises(DatasetError, match="mismatch"):
+        load_checkpoint(path)

@@ -1,0 +1,57 @@
+import pytest
+
+from anofuse.cli import main
+from test_golden import TINY
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["train", "--out", str(out)] + TINY) == 0
+    return out
+
+
+def test_gen_writes_dataset(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path)] + TINY) == 0
+    assert len(list((tmp_path / "train").rglob("*.pgm"))) == 8
+    assert len(list((tmp_path / "test").rglob("*.pgm"))) == 12
+    assert "8 train / 12 test" in capsys.readouterr().out
+
+
+def test_eval_of_checkpoint_reproduces_training_metrics(run_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "metrics.csv").read_text() == (run_dir / "metrics.csv").read_text()
+    assert capsys.readouterr().out == (run_dir / "metrics.csv").read_text()
+
+
+def test_export_maps_writes_one_map_per_test_image(run_dir, tmp_path):
+    assert main(["export-maps", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(tmp_path)]) == 0
+    index = (tmp_path / "index.txt").read_text().splitlines()
+    assert len(index) == 12
+    assert all((tmp_path / f"{line.split()[0]}.pgm").exists() for line in index)
+
+
+def test_ablate_writes_four_rows(tmp_path):
+    assert main(["ablate", "--out", str(tmp_path)] + TINY + ["--steps", "2"]) == 0
+    lines = (tmp_path / "ablation.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["baseline", "conv_lora", "dfg", "full"]
+
+
+def test_eval_on_images_of_another_size_is_one_error_line(run_dir, tmp_path, capsys):
+    big = ["--image_size", "32"]
+    assert main(["gen", "--out", str(tmp_path / "data")] + TINY + big) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--data_dir", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert ".pgm is 32x32 pixels, config image_size is 16" in err[0]
+
+
+def test_unknown_key_is_one_error_line(tmp_path, capsys):
+    assert main(["train", "--out", str(tmp_path), "--n_group", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown config key 'n_group'")

@@ -1,0 +1,66 @@
+import pytest
+
+from anofuse.config import VALID_KEYS, RunConfig, apply_overrides, load_config, parse_config_text
+from anofuse.errors import ConfigurationError
+
+
+def test_comments_blank_lines_and_types(tmp_path):
+    cfg = parse_config_text("# a run\n\nn_groups = 2   # two groups\n"
+                            "temperature=0.5\ntexture = noise\n")
+    assert (cfg.n_groups, cfg.temperature, cfg.texture) == (2, 0.5, "noise")
+    path = tmp_path / "run.cfg"
+    path.write_text("channels = 32\nheads = 4\n")
+    assert load_config(path, {"steps": "3"}) == RunConfig(channels=32, steps=3)
+
+
+def test_echo_lines_round_trip():
+    cfg = RunConfig(branch_kernels=(1, 7), dfg_on=False, lr=3e-4)
+    assert parse_config_text("\n".join(cfg.echo_lines())) == cfg
+
+
+def test_unknown_key_lists_valid_keys():
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text("n_group = 2")
+    msg = str(err.value)
+    assert "'n_group'" in msg
+    assert all(key in msg for key in VALID_KEYS)
+
+
+def test_line_without_equals_rejected():
+    with pytest.raises(ConfigurationError, match="line 2"):
+        parse_config_text("steps = 3\nsteps 4")
+
+
+@pytest.mark.parametrize("raw,want", [("1", True), ("True", True), ("yes", True), ("on", True),
+                                      ("0", False), ("false", False), ("No", False),
+                                      ("off", False)])
+def test_booleans(raw, want):
+    assert apply_overrides(RunConfig(), {"dfg_on": raw}).dfg_on is want
+
+
+def test_bad_boolean_rejected():
+    with pytest.raises(ConfigurationError, match="boolean dfg_on"):
+        apply_overrides(RunConfig(), {"dfg_on": "maybe"})
+
+
+@pytest.mark.parametrize("raw,want", [("3,5,7", (3, 5, 7)), ("(3, 5)", (3, 5)), ("1", (1,))])
+def test_branch_kernels(raw, want):
+    assert parse_config_text(f"branch_kernels = {raw}").branch_kernels == want
+
+
+def test_bad_branch_kernels_rejected():
+    with pytest.raises(ConfigurationError, match="branch_kernels"):
+        parse_config_text("branch_kernels = 3,x")
+    with pytest.raises(ConfigurationError, match="branch kernel 4"):
+        parse_config_text("branch_kernels = 3,4").validate()
+
+
+def test_loss_settings_validated_with_the_run():
+    with pytest.raises(ConfigurationError) as err:
+        RunConfig(focal_alpha=1.5, focal_gamma=-1.0, dice_smooth=0.0).validate()
+    msg = str(err.value)
+    assert "focal_alpha" in msg and "focal_gamma" in msg and "dice_smooth" in msg
+    with pytest.raises(ConfigurationError, match="at least one lambda"):
+        RunConfig(lambda_focal=0.0, lambda_dice=0.0, lambda_cls=0.0).validate()
+    with pytest.raises(ConfigurationError, match=">= 0"):
+        RunConfig(lambda_cls=-1.0).validate()

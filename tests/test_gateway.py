@@ -3,7 +3,8 @@ import pytest
 
 from anofuse.errors import ConfigurationError, ShapeError
 from anofuse.gateway import STATES, FusionGateway
-from anofuse.tensor import Tensor, no_grad
+from anofuse.tensor import Tensor, no_grad, softmax
+from anofuse.verify import gateway_composition
 
 
 def make_gateway(c=6, n=3, hidden=4, tau=0.07, dynamic=True, seed=0, randomize=False):
@@ -46,15 +47,13 @@ def test_gate_output_shift_leaves_weights_unchanged():
     # adding a constant to every logit: shift all output columns equally
     logits = gw.gate_logits(v, "normal").data
     shifted = Tensor(logits + 7.5)
-    from anofuse.tensor import softmax
     np.testing.assert_allclose(softmax(shifted, axis=-1).data, base, rtol=0, atol=1e-12)
 
 
 def test_peaked_logits_match_high_precision_oracle():
     import mpmath
     mpmath.mp.dps = 50
-    from anofuse.tensor import softmax_vec
-    got = softmax_vec(np.array([10.0, 0.0, 0.0]))
+    got = softmax(Tensor(np.array([10.0, 0.0, 0.0]))).data
     es = [mpmath.exp(v) for v in (10.0, 0.0, 0.0)]
     tot = sum(es)
     want = np.array([float(e / tot) for e in es])
@@ -147,21 +146,25 @@ def test_static_mode_ignores_gate_parameters():
     v_list, t_feats = rand_features(seed=9)
     gw1 = make_gateway(randomize=True, seed=10)
     gw2 = make_gateway(randomize=True, seed=99)
+    gw1.dynamic = gw2.dynamic = False
     with no_grad():
-        m1 = gw1.forward(v_list, t_feats, (3, 3), (9, 9), mode="static")
-        m2 = gw2.forward(v_list, t_feats, (3, 3), (9, 9), mode="static")
+        m1 = gw1.forward(v_list, t_feats, (3, 3), (9, 9))
+        m2 = gw2.forward(v_list, t_feats, (3, 3), (9, 9))
     for a, b in zip(m1.per_level, m2.per_level):
         np.testing.assert_array_equal(a.data, b.data)
 
 
-def test_dynamic_forced_one_hot_equals_static_bitwise():
+def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
     v_list, t_feats = rand_features(seed=11)
     gw = make_gateway(randomize=True, seed=12)
-    diag = np.eye(3)
+    static_gw = make_gateway(dynamic=False)
+    # forward asks for the weights level by level, each level for both states
+    levels = iter(i for i in range(3) for _ in STATES)
+    monkeypatch.setattr(gw, "fusion_weights",
+                        lambda v, state: Tensor(np.eye(3)[[next(levels)] * 2]))
     with no_grad():
-        forced = gw.forward(v_list, t_feats, (3, 3), (9, 9), mode="dynamic",
-                            override_weights=lambda i, s: diag[i])
-        static = gw.forward(v_list, t_feats, (3, 3), (9, 9), mode="static")
+        forced = gw.forward(v_list, t_feats, (3, 3), (9, 9))
+        static = static_gw.forward(v_list, t_feats, (3, 3), (9, 9))
     for a, b in zip(forced.per_level, static.per_level):
         np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(forced.aggregated.data, static.aggregated.data)
@@ -171,46 +174,25 @@ def test_dynamic_forced_one_hot_equals_static_bitwise():
 def test_single_level_degenerates_to_plain_map():
     c, n = 6, 1
     gw = FusionGateway(c, n, 4, 0.07, dynamic=True, rng=np.random.default_rng(13))
+    static_gw = FusionGateway(c, n, 4, 0.07, dynamic=False)
     rng = np.random.default_rng(14)
     v_list = [Tensor(rng.normal(size=(2, 4, c)))]
     t_feats = [[Tensor(rng.normal(size=(c,))), Tensor(rng.normal(size=(c,)))]]
     with no_grad():
-        dyn = gw.forward(v_list, t_feats, (2, 2), (4, 4), mode="dynamic")
-        sta = gw.forward(v_list, t_feats, (2, 2), (4, 4), mode="static")
+        dyn = gw.forward(v_list, t_feats, (2, 2), (4, 4))
+        sta = static_gw.forward(v_list, t_feats, (2, 2), (4, 4))
         plain = gw.level_map(v_list[0], t_feats[0][0], t_feats[0][1], (2, 2))
     np.testing.assert_array_equal(dyn.per_level[0].data, sta.per_level[0].data)
     np.testing.assert_array_equal(dyn.per_level[0].data, plain.data)
 
 
 def test_forward_composition_oracle():
-    # straight-line numpy recomputation: pool, gate, normalize, fuse,
-    # cosine, two-way softmax, average
     for seed in range(5):
         v_list, t_feats = rand_features(seed=100 + seed)
         gw = make_gateway(randomize=True, seed=200 + seed)
         with no_grad():
-            out = gw.forward(v_list, t_feats, (3, 3), (9, 9), mode="dynamic")
-        maps = []
-        for i in range(3):
-            vg = v_list[i].data.mean(axis=1)
-            fused = {}
-            for s, state in enumerate(STATES):
-                logits = np.tanh(vg @ gw.w1[state].data) @ gw.w2[state].data
-                e = np.exp(logits - logits.max(axis=1, keepdims=True))
-                w = e / e.sum(axis=1, keepdims=True)
-                t_mat = np.stack([t_feats[j][s].data for j in range(3)])
-                fused[state] = w @ t_mat
-            v = v_list[i].data
-            nv = np.sqrt((v * v).sum(axis=2))
-            sims = {}
-            for state in STATES:
-                t = fused[state]
-                nt = np.sqrt((t * t).sum(axis=1))
-                sims[state] = (v * t[:, None, :]).sum(axis=2) / (nv * nt[:, None])
-            z = np.stack([sims["normal"], sims["abnormal"]], axis=-1) / 0.07
-            ez = np.exp(z - z.max(axis=-1, keepdims=True))
-            m = (ez[..., 1] / ez.sum(axis=-1)).reshape(2, 3, 3)
-            maps.append(m)
+            out = gw.forward(v_list, t_feats, (3, 3), (9, 9))
+        maps = gateway_composition(gw, v_list, t_feats, (3, 3))
         want = np.mean(maps, axis=0)
         assert np.abs(out.aggregated.data - want).max() < 1e-12
         for i in range(3):
@@ -221,7 +203,7 @@ def test_forward_invariants_ranges_and_weight_count():
     v_list, t_feats = rand_features(seed=15)
     gw = make_gateway(randomize=True, seed=16)
     with no_grad():
-        out = gw.forward(v_list, t_feats, (3, 3), (12, 12), mode="dynamic")
+        out = gw.forward(v_list, t_feats, (3, 3), (12, 12))
     assert len(out.fusion_weights) == 2 * 3  # states x levels
     for w in out.fusion_weights.values():
         assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
@@ -236,10 +218,6 @@ def test_bad_construction_and_modes():
         FusionGateway(6, 3, 4, 0.0)
     with pytest.raises(ConfigurationError):
         FusionGateway(6, 3, 0, 0.07)
-    gw = make_gateway()
-    v_list, t_feats = rand_features(seed=17)
-    with pytest.raises(ConfigurationError):
-        gw.forward(v_list, t_feats, (3, 3), (9, 9), mode="bogus")
     static_only = make_gateway(dynamic=False)
     with pytest.raises(ConfigurationError):
         static_only.fusion_weights(Tensor(np.zeros((1, 6))), "normal")

@@ -3,34 +3,7 @@ import pytest
 
 from anofuse.errors import UndefinedMetricError
 from anofuse.metrics import MetricsReport, auroc, average_precision, gate_entropy
-
-
-def auroc_pairs_oracle(scores, labels):
-    """All positive/negative pairs: wins count 1, ties count half."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return (wins + 0.5 * ties) / (pos.size * neg.size)
-
-
-def ap_sweep_oracle(scores, labels):
-    """Exhaustive threshold sweep, descending, recomputing TP/FP per step."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int(labels.sum())
-    thresholds = np.unique(scores)[::-1]
-    ap = 0.0
-    prev_tp = 0
-    for t in thresholds:
-        sel = scores >= t
-        tp = int(labels[sel].sum())
-        if tp > prev_tp:
-            ap += ((tp - prev_tp) / n_pos) * (tp / int(sel.sum()))
-        prev_tp = tp
-    return ap
+from anofuse.verify import ap_sweep, auroc_pairs
 
 
 def test_auroc_perfect_separation():
@@ -68,7 +41,7 @@ def test_ap_single_positive_ranked_last():
 def test_ap_hand_case_matches_sweep():
     scores = [0.1, 0.4, 0.35, 0.8]
     labels = [0, 0, 1, 1]
-    assert average_precision(scores, labels) == ap_sweep_oracle(scores, labels)
+    assert average_precision(scores, labels) == ap_sweep(scores, labels)
 
 
 def test_ap_needs_positives():
@@ -86,8 +59,8 @@ def test_metrics_match_brute_force_with_ties():
         labels = rng.integers(0, 2, n)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
-        assert auroc(scores, labels) == auroc_pairs_oracle(scores, labels)
-        assert average_precision(scores, labels) == ap_sweep_oracle(scores, labels)
+        assert auroc(scores, labels) == auroc_pairs(scores, labels)
+        assert average_precision(scores, labels) == ap_sweep(scores, labels)
 
 
 def test_metrics_match_brute_force_continuous():
@@ -98,8 +71,8 @@ def test_metrics_match_brute_force_continuous():
         labels = rng.integers(0, 2, n)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
-        assert auroc(scores, labels) == auroc_pairs_oracle(scores, labels)
-        assert average_precision(scores, labels) == ap_sweep_oracle(scores, labels)
+        assert auroc(scores, labels) == auroc_pairs(scores, labels)
+        assert average_precision(scores, labels) == ap_sweep(scores, labels)
 
 
 def test_near_oracle_scores_hit_ceiling():

@@ -4,27 +4,8 @@ import pytest
 from anofuse import tensor as T
 from anofuse.errors import ConfigurationError, ShapeError, TrainingError
 from anofuse.gradcheck import check_gradients
-
-
-def conv2d_loops(x, w):
-    """Direct nested-loop convolution with zero 'same' padding."""
-    bsz, cin, h, wd = x.shape
-    cout, _, k, _ = w.shape
-    p = (k - 1) // 2
-    y = np.zeros((bsz, cout, h, wd))
-    for b in range(bsz):
-        for co in range(cout):
-            for hh in range(h):
-                for ww in range(wd):
-                    acc = 0.0
-                    for ci in range(cin):
-                        for i in range(k):
-                            for j in range(k):
-                                src_h, src_w = hh + i - p, ww + j - p
-                                if 0 <= src_h < h and 0 <= src_w < wd:
-                                    acc += x[b, ci, src_h, src_w] * w[co, ci, i, j]
-                    y[b, co, hh, ww] = acc
-    return y
+from anofuse.losses import _cosine_rows
+from anofuse.verify import conv2d_loops
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +130,12 @@ def test_linear_shape_mismatch():
 
 def test_softmax_equal_logits():
     for n in [2, 3, 5]:
-        out = T.softmax_vec(np.full(n, 1.7))
+        out = T.softmax(T.Tensor(np.full(n, 1.7))).data
         np.testing.assert_allclose(out, np.full(n, 1.0 / n), rtol=0, atol=1e-15)
 
 
 def test_softmax_overflow_safe():
-    out = T.softmax_vec(np.array([1000.0, 0.0]))
+    out = T.softmax(T.Tensor(np.array([1000.0, 0.0]))).data
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-300)
 
@@ -166,7 +147,7 @@ def test_softmax_high_precision_oracle():
     es = [mpmath.exp(v) for v in logits]
     tot = sum(es)
     want = np.array([float(e / tot) for e in es])
-    got = T.softmax_vec(np.array(logits))
+    got = T.softmax(T.Tensor(np.array(logits))).data
     np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
@@ -174,48 +155,41 @@ def test_softmax_sum_and_shift_invariance():
     rng = np.random.default_rng(7)
     for _ in range(20):
         v = rng.normal(size=rng.integers(2, 8)) * 10
-        out = T.softmax_vec(v)
+        out = T.softmax(T.Tensor(v)).data
         assert abs(out.sum() - 1.0) < 1e-12
         assert (out > 0).all()
-        shifted = T.softmax_vec(v + 5.0)
+        shifted = T.softmax(T.Tensor(v + 5.0)).data
         assert np.abs(out - shifted).max() < 1e-12
 
 
-def test_softmax_rejects_bad_temperature():
-    with pytest.raises(ConfigurationError):
-        T.softmax_vec(np.array([1.0, 2.0]), temperature=0.0)
-    with pytest.raises(ConfigurationError):
-        T.softmax_vec(np.array([1.0, 2.0]), temperature=-1.0)
-
-
 # ---------------------------------------------------------------------------
-# cosine similarity
+# cosine similarity (the differentiable one used by the classification loss)
+
+
+def cosine(a, b):
+    return float(_cosine_rows(T.Tensor(np.asarray(a, dtype=np.float64)[None, :]),
+                              T.Tensor(np.asarray(b, dtype=np.float64))).data[0, 0])
 
 
 def test_cosine_self_similarity():
     rng = np.random.default_rng(8)
     a = rng.normal(size=16)
-    assert abs(T.cosine_sim(a, a) - 1.0) < 1e-12
+    assert abs(cosine(a, a) - 1.0) < 1e-12
 
 
 def test_cosine_orthogonal_and_hand_case():
-    assert T.cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert abs(T.cosine_sim([1.0, 2.0], [2.0, 1.0]) - 4.0 / 5.0) < 1e-15
-
-
-def test_cosine_zero_norm_flagged():
-    with pytest.warns(RuntimeWarning):
-        assert T.cosine_sim([0.0, 0.0], [1.0, 2.0]) == 0.0
+    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert abs(cosine([1.0, 2.0], [2.0, 1.0]) - 4.0 / 5.0) < 1e-15
 
 
 def test_cosine_symmetry_and_scale_invariance():
     rng = np.random.default_rng(9)
     for _ in range(10):
         a, b = rng.normal(size=6), rng.normal(size=6)
-        s = T.cosine_sim(a, b)
+        s = cosine(a, b)
         assert -1.0 <= s <= 1.0
-        assert abs(s - T.cosine_sim(b, a)) < 1e-15
-        assert abs(s - T.cosine_sim(3.7 * a, b)) < 1e-12
+        assert abs(s - cosine(b, a)) < 1e-15
+        assert abs(s - cosine(3.7 * a, b)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +198,9 @@ def test_cosine_symmetry_and_scale_invariance():
 
 def test_gap_constant_and_hand_case():
     x = np.full((2, 5, 3), 1.5)
-    np.testing.assert_array_equal(T.gap(x), np.full((2, 3), 1.5))
+    np.testing.assert_array_equal(T.gap(T.Tensor(x)).data, np.full((2, 3), 1.5))
     toks = np.array([[[0.0, 0.0], [2.0, 4.0]]])
-    np.testing.assert_array_equal(T.gap(toks), [[1.0, 2.0]])
+    np.testing.assert_array_equal(T.gap(T.Tensor(toks)).data, [[1.0, 2.0]])
 
 
 def test_gap_loop_oracle():
@@ -236,7 +210,7 @@ def test_gap_loop_oracle():
     for b in range(3):
         for c in range(4):
             want[b, c] = sum(x[b, l, c] for l in range(5)) / 5.0
-    assert np.abs(T.gap(x) - want).max() < 1e-12
+    assert np.abs(T.gap(T.Tensor(x)).data - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
