@@ -59,11 +59,6 @@ def ablate(config: RunConfig) -> AblationResult:
             label=label, conv_lora_on=conv_on, dfg_on=dfg_on,
             trainable_params=run.model.trainable_count(),
             metrics=report.metric_values()))
-    baseline = result.row("baseline").trainable_params
-    full = result.row("full").trainable_params
-    if baseline >= full:
-        raise AssertionError(
-            f"baseline trains {baseline} params, full model {full}; expected strictly fewer")
     return result
 
 

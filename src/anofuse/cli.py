@@ -21,6 +21,7 @@ from .data import export_dataset, gen_synthetic, get_corpora, write_pgm
 from .errors import (ConfigurationError, DatasetError, ShapeError, TrainingError,
                      UndefinedMetricError)
 from .metrics import MetricsReport
+from .model import MODEL_KEYS
 from .train import evaluate, predict, train
 
 
@@ -87,12 +88,14 @@ def cmd_train(args, extra):
 
 def _load_for_inference(args, extra):
     """The --checkpoint model and the test split of its config, with any
-    command-line overrides applied to the config."""
+    command-line overrides applied to the config. The checkpoint fixes the
+    fields its model was built from, so overriding one of them fails."""
     model, _ = load_checkpoint(args.checkpoint)
-    cfg = model.config
-    overrides = _collect_overrides(extra)
-    if overrides:
-        cfg = apply_overrides(cfg, overrides).validate()
+    cfg = apply_overrides(model.config, _collect_overrides(extra)).validate()
+    changed = [k for k in MODEL_KEYS if getattr(cfg, k) != getattr(model.config, k)]
+    if changed:
+        raise ConfigurationError("cannot override the checkpoint's model: " + ", ".join(
+            f"{k} is {getattr(model.config, k)}" for k in changed))
     return model, get_corpora(cfg)[1]
 
 

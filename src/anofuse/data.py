@@ -166,6 +166,8 @@ def read_pgm(path):
         fields.append(int(m.group(2)))
         pos = m.end()
     width, height, maxval = fields
+    if not 1 <= maxval <= 65535:
+        raise DatasetError(f"graymap {path} has maxval {maxval} (need 1..65535)")
     pos += 1  # single whitespace byte after maxval
     dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
     count = width * height

@@ -18,8 +18,9 @@ class GradCheckResult:
     worst_index: tuple = ()
     failures: list = field(default_factory=list)
 
-    def passed(self, rtol=1e-4):
-        return not self.failures and self.max_rel_err < rtol
+    def passed(self):
+        # compare_gradients records every entry with rel >= rtol as a failure
+        return not self.failures
 
 
 def finite_difference(f, params, names, h=1e-5):

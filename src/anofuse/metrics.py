@@ -1,10 +1,12 @@
 """Exact ranking metrics and the evaluation report container.
 
-auroc is the Mann-Whitney statistic (ties half-credited) computed through
-midranks; average_precision sweeps thresholds downward with tied scores
-collapsed into one step. Both are exact: every intermediate is a ratio of
-small integers (or an integer multiple of one half), so results agree
-bit-for-bit with brute-force pair counting and exhaustive sweeps.
+Both metrics read one descending sweep over the scores, with each run of
+tied scores taken as one step. auroc sums the Mann-Whitney statistic (ties
+half-credited) over the steps; average_precision adds each step's recall
+increment times its precision, in sweep order. Both are exact: every
+intermediate is a ratio of small integers (or an integer multiple of one
+half), so results agree bit-for-bit with brute-force pair counting and
+exhaustive sweeps.
 """
 
 from __future__ import annotations
@@ -23,54 +25,42 @@ def _check_binary(labels):
     return labels.astype(np.int64)
 
 
+def _descending_sweep(scores, labels):
+    """(seen, tp) at the end of each step of the sweep: the count of items
+    seen so far and the cumulative positive count."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise UndefinedMetricError("scores contain NaN, which has no rank")
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    seen = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.size)
+    return seen, np.cumsum(labels[order])[seen - 1]
+
+
 def auroc(scores, labels):
     """P(score_pos > score_neg) + 0.5 * P(tie), exactly."""
-    scores = np.asarray(scores, dtype=np.float64)
     labels = _check_binary(labels)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"auroc needs both classes, got {n_pos} positives / {n_neg} negatives")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks = np.empty(labels.size, dtype=np.float64)
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))  # midrank, 1-based
-        i = j + 1
-    rank_sum = float(ranks[labels == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    seen, tp = _descending_sweep(scores, labels)
+    pos = np.diff(tp, prepend=0)
+    neg = np.diff(seen, prepend=0) - pos
+    # each negative counts the positives up to its step, its own step's at half
+    return float((neg * (tp - 0.5 * pos)).sum()) / (n_pos * n_neg)
 
 
 def average_precision(scores, labels):
     """Precision-weighted recall increments over a descending-score sweep."""
-    scores = np.asarray(scores, dtype=np.float64)
     labels = _check_binary(labels)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        group_tp = int(sorted_labels[i:j + 1].sum())
-        tp += group_tp
-        seen = j + 1
-        if group_tp:
-            ap += (group_tp / n_pos) * (tp / seen)
-        i = j + 1
-    return ap
+    seen, tp = _descending_sweep(scores, labels)
+    # cumsum adds in sweep order (np.sum would pair terms); empty steps add 0.0
+    return float(np.cumsum((np.diff(tp, prepend=0) / n_pos) * (tp / seen))[-1])
 
 
 def gate_entropy(weights):

@@ -216,6 +216,12 @@ class ModelOutputs:
         self.amap = amap
 
 
+# the RunConfig fields that build_model reads
+MODEL_KEYS = ("n_groups", "blocks_per_group", "channels", "heads", "patch_size", "image_size",
+              "rank", "branch_kernels", "temperature", "gate_hidden", "conv_lora_on", "dfg_on",
+              "model_seed")
+
+
 def build_model(config: RunConfig, seed=None) -> GroupedModel:
     """Deterministic model construction; same seed gives identical params."""
     seed = config.model_seed if seed is None else seed

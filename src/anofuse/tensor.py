@@ -125,11 +125,6 @@ class Tensor:
                         grads[id(parent)] = pg
             elif node.trainable:
                 node.grad = g if node.grad is None else node.grad + g
-        # anything left unpopped is a trainable leaf reached directly
-        for node in order:
-            g = grads.pop(id(node), None)
-            if g is not None and node.trainable:
-                node.grad = g if node.grad is None else node.grad + g
 
 
 def parameter(data, trainable=True, name=""):

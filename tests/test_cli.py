@@ -55,3 +55,26 @@ def test_unknown_key_is_one_error_line(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path), "--n_group", "2"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: unknown config key 'n_group'")
+
+
+@pytest.mark.parametrize("command,override", [
+    ("eval", ["--image_size", "32"]),
+    ("eval", ["--channels", "32"]),
+    ("eval", ["--temperature", "0.5"]),
+    ("export-maps", ["--conv_lora_on", "0"]),
+])
+def test_model_override_on_a_checkpoint_is_one_error_line(run_dir, tmp_path, command,
+                                                           override, capsys):
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(tmp_path)] + override) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot override the checkpoint's model")
+    assert override[0][2:] in err[0]
+
+
+def test_data_override_on_a_checkpoint_is_applied(run_dir, capsys):
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--n_test", "5",
+                 "--temperature", "0.07"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "5"

@@ -125,6 +125,15 @@ def test_pgm_truncated_data_rejected(tmp_path):
     assert "short.pgm" in str(err.value)
 
 
+@pytest.mark.parametrize("maxval", [0, 65536])
+def test_pgm_maxval_outside_pgm_range_rejected(tmp_path, maxval):
+    bad = tmp_path / "flat.pgm"
+    bad.write_bytes(b"P5\n2 2\n%d\n" % maxval + bytes(8))
+    with pytest.raises(DatasetError) as err:
+        read_pgm(bad)
+    assert "flat.pgm" in str(err.value) and f"maxval {maxval}" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # dataset tree
 

@@ -49,8 +49,15 @@ def test_ap_needs_positives():
         average_precision([0.5, 0.2], [0, 0])
 
 
+def test_nan_scores_rejected():
+    for metric in (auroc, average_precision):
+        with pytest.raises(UndefinedMetricError):
+            metric([0.5, np.nan, 0.2], [0, 1, 1])
+
+
 def test_metrics_match_brute_force_with_ties():
     rng = np.random.default_rng(0)
+    cases = []
     for trial in range(300):
         n = int(rng.integers(2, 200))
         # discrete score grids create plenty of ties
@@ -59,6 +66,11 @@ def test_metrics_match_brute_force_with_ties():
         labels = rng.integers(0, 2, n)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
+        cases.append((scores, labels))
+    # evaluation scale: 8-bit pixel scores, rare positives, runs of ~80 tied
+    # scores that hold both classes
+    cases.append((rng.integers(0, 256, 20_000) / 255, (rng.random(20_000) < 0.05).astype(int)))
+    for scores, labels in cases:
         assert auroc(scores, labels) == auroc_pairs(scores, labels)
         assert average_precision(scores, labels) == ap_sweep(scores, labels)
 
