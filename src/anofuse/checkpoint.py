@@ -29,11 +29,20 @@ def save_checkpoint(model, path, step=0):
     path.write_bytes(b"".join(parts))
 
 
-def _line(blob, pos):
+def _line(blob, pos, path):
     end = blob.find(b"\n", pos)
     if end < 0:
-        raise DatasetError("truncated checkpoint")
-    return blob[pos:end].decode(), end + 1
+        raise DatasetError(f"{path}: truncated checkpoint")
+    # a line that is not UTF-8 fails the header checks below, never the decode
+    return blob[pos:end].decode(errors="replace"), end + 1
+
+
+def _count(line, key, path):
+    """The count of a `key N` header line."""
+    parts = line.split(" ")
+    if len(parts) != 2 or parts[0] != key or not parts[1].isdigit():
+        raise DatasetError(f"{path}: corrupt checkpoint header {line!r}, want '{key} <count>'")
+    return int(parts[1])
 
 
 def load_checkpoint(path):
@@ -44,29 +53,33 @@ def load_checkpoint(path):
     if not blob.startswith(MAGIC):
         raise DatasetError(f"{path} is not a checkpoint (bad magic)")
     pos = len(MAGIC)
-    line, pos = _line(blob, pos)
-    step = int(line.split()[1])
-    line, pos = _line(blob, pos)
-    n_cfg = int(line.split()[1])
+    line, pos = _line(blob, pos, path)
+    step = _count(line, "step", path)
+    line, pos = _line(blob, pos, path)
+    n_cfg = _count(line, "config", path)
     cfg_lines = []
     for _ in range(n_cfg):
-        line, pos = _line(blob, pos)
+        line, pos = _line(blob, pos, path)
         cfg_lines.append(line)
     config = parse_config_text("\n".join(cfg_lines)).validate()
     model = build_model(config)
     params = model.named_params()
-    line, pos = _line(blob, pos)
-    n_params = int(line.split()[1])
+    line, pos = _line(blob, pos, path)
+    n_params = _count(line, "params", path)
     if n_params != len(params):
         raise DatasetError(f"checkpoint has {n_params} params, model wants {len(params)}")
     for _ in range(n_params):
-        line, pos = _line(blob, pos)
-        name, shape_csv, trainable = line.rsplit(" ", 2)
+        line, pos = _line(blob, pos, path)
+        try:
+            name, shape_csv, trainable = line.rsplit(" ", 2)
+            shape = tuple(int(d) for d in shape_csv.split(",") if d)
+            trainable = bool(int(trainable))
+        except ValueError:
+            raise DatasetError(f"{path}: corrupt parameter header {line!r}") from None
         if name not in params:
             raise DatasetError(f"unknown parameter {name!r} in checkpoint")
-        shape = tuple(int(d) for d in shape_csv.split(",") if d)
         t = params[name]
-        if shape != t.data.shape or bool(int(trainable)) != t.trainable:
+        if shape != t.data.shape or trainable != t.trainable:
             raise DatasetError(f"parameter {name!r} mismatch: {shape} vs {t.data.shape}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         if pos + nbytes > len(blob):

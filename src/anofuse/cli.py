@@ -1,9 +1,10 @@
 """Command-line interface: gen | train | eval | ablate | export-maps | selftest.
 
-Any RunConfig key can be overridden on the command line as ``--key value``
-on top of an optional ``--config`` key=value file. Unknown keys fail with
-the list of valid keys. Exit status is 0 on success, 1 with a diagnostic
-on any failure.
+Any RunConfig key can be overridden on the command line as ``--key value``:
+for gen, train and ablate on top of an optional ``--config`` key=value file,
+for eval and export-maps on top of the checkpoint's config. Unknown keys
+fail with the list of valid keys. Exit status is 0 on success, 1 with a
+diagnostic on any failure.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ def cmd_export_maps(args, extra):
 
 def cmd_selftest(args, extra):
     from .verify import run_selftest
+    if extra:
+        raise ConfigurationError(f"selftest takes no arguments, got {' '.join(extra)}")
     return 0 if run_selftest() else 1
 
 
@@ -144,16 +147,15 @@ def main(argv=None):
 
     def add(name, fn, **flags):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file")
         for flag, required in flags.items():
             p.add_argument(f"--{flag}", required=required)
         p.set_defaults(fn=fn)
         return p
 
-    add("gen", cmd_gen, out=True)
-    add("train", cmd_train, out=True)
+    add("gen", cmd_gen, config=False, out=True)
+    add("train", cmd_train, config=False, out=True)
     add("eval", cmd_eval, checkpoint=True, out=False)
-    add("ablate", cmd_ablate, out=True)
+    add("ablate", cmd_ablate, config=False, out=True)
     p = add("export-maps", cmd_export_maps, checkpoint=True, out=True)
     p.prog = "anofuse export-maps"
     add("selftest", cmd_selftest)

@@ -34,7 +34,10 @@ def _descending_sweep(scores, labels):
     order = np.argsort(-scores, kind="mergesort")
     s = scores[order]
     seen = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.size)
-    return seen, np.cumsum(labels[order])[seen - 1]
+    del s  # free the sorted scores, then the order, before the n-long cumsum
+    tp = labels[order]
+    del order
+    return seen, np.cumsum(tp, out=tp)[seen - 1]
 
 
 def auroc(scores, labels):

@@ -59,3 +59,19 @@ def test_shape_mismatch_rejected(saved):
     path.write_bytes(blob.replace(header, b"text.g0.lora.w_up 8,2 1\n"))
     with pytest.raises(DatasetError, match="mismatch"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("good,bad", [
+    (b"step 7\n", b"step x\n"),
+    (b"step 7\n", b"step \xff\n"),
+    (b"\nconfig ", b"\nconfig\n"),
+    (b"text.g0.lora.w_up 2,8 1\n", b"text.g0.lora.w_up2,81\n"),
+])
+def test_corrupt_header_rejected_naming_the_file(saved, good, bad):
+    _, path = saved
+    blob = path.read_bytes()
+    assert good in blob
+    path.write_bytes(blob.replace(good, bad, 1))
+    with pytest.raises(DatasetError, match="corrupt") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)

@@ -78,3 +78,28 @@ def test_data_override_on_a_checkpoint_is_applied(run_dir, capsys):
     assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--n_test", "5",
                  "--temperature", "0.07"]) == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "CKPT", "--config", "CFG"],
+    ["eval", "--checkpoint", "CKPT", "--config", "/nonexistent.cfg"],
+    ["export-maps", "--checkpoint", "CKPT", "--out", "OUT", "--config", "CFG"],
+    ["selftest", "--config", "CFG"],
+    ["selftest", "--bogus", "1"],
+])
+def test_config_file_or_stray_argument_where_none_is_read_is_one_error_line(
+        run_dir, tmp_path, argv, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_test = 3\n")
+    subst = {"CKPT": str(run_dir / "checkpoint.bin"), "CFG": str(cfg), "OUT": str(tmp_path)}
+    capsys.readouterr()
+    assert main([subst.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "gradient suite vs finite differences (1968 entries," in out[-2]
+    assert out[-1] == "selftest PASSED"

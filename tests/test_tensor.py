@@ -3,9 +3,8 @@ import pytest
 
 from anofuse import tensor as T
 from anofuse.errors import ConfigurationError, ShapeError, TrainingError
-from anofuse.gradcheck import check_gradients
 from anofuse.losses import _cosine_rows
-from anofuse.verify import conv2d_loops
+from anofuse.verify import check_gradients, conv2d_loops
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,7 @@ def _fd_case(build, n_params, seed):
     params = {f"p{i}": T.parameter(rng.normal(size=s), name=f"p{i}")
               for i, s in enumerate(n_params)}
     res = check_gradients(lambda: build(params), params)
-    assert res.passed(), (res.worst_param, res.max_rel_err, res.failures[:3])
+    assert res.passed(), res.failures[:3]
 
 
 def test_fd_elementwise_ops():
@@ -357,6 +356,33 @@ def test_fd_mean_axes_and_sqrt():
         y = T.tmean(p["p0"] ** 2, axis=1) + 0.3
         return T.tsum(T.sqrt(y))
     _fd_case(build, [(3, 5)], 22)
+
+
+@pytest.mark.parametrize("bug,wrong", [
+    (lambda ga, gb: (ga * (1 + 1e-3), gb), "p0"),
+    (lambda ga, gb: (ga, np.zeros_like(gb)), "p1"),
+], ids=["scaled", "dropped-parent"])
+def test_check_gradients_catches_an_injected_vjp_bug(monkeypatch, bug, wrong):
+    matmul = T.matmul
+
+    def buggy_matmul(a, b):
+        out = matmul(a, b)
+        vjp = out._vjp
+        if vjp is not None:
+            out._vjp = lambda g: bug(*vjp(g))
+        return out
+    monkeypatch.setattr(T, "matmul", buggy_matmul)
+    rng = np.random.default_rng(17)
+    params = {"p0": T.parameter(rng.normal(size=(4, 3)), name="p0"),
+              "p1": T.parameter(rng.normal(size=(3, 5)), name="p1")}
+
+    def loss():
+        y = T.matmul(params["p0"], params["p1"])
+        return T.tsum(y[:, 1:]) + T.tmean(y[:, :1] ** 2)
+    res = check_gradients(loss, params)
+    assert res.n_checked == 27
+    assert len(res.failures) == params[wrong].data.size
+    assert {name for name, *_ in res.failures} == {wrong}
 
 
 def test_no_grad_blocks_graph():
