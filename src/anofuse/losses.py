@@ -86,9 +86,9 @@ def image_score(p_abnormal, upsampled_map):
     return 0.5 * (p_abnormal + peak)
 
 
-def model_loss(model, images, masks, labels, cfg: RunConfig):
-    """Total, segmentation, and classification losses for one batch."""
-    out = model.forward(images)
+def model_loss(out, masks, labels, cfg: RunConfig):
+    """Total, segmentation, and classification losses of the model outputs
+    `out` on one batch; `cfg` is the config the model was built from."""
     seg = seg_loss(out.amap.upsampled, masks, cfg)
-    cls = cls_loss(out.v_cls, out.anchor, model.config.temperature, labels)
-    return total_loss(seg, cls, cfg), seg, cls, out
+    cls = cls_loss(out.v_cls, out.anchor, cfg.temperature, labels)
+    return total_loss(seg, cls, cfg), seg, cls

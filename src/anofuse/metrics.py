@@ -22,7 +22,7 @@ def _check_binary(labels):
     labels = np.asarray(labels)
     if labels.size == 0 or not np.isin(labels, (0, 1)).all():
         raise UndefinedMetricError("labels must be 0/1 and non-empty")
-    return labels.astype(np.int64)
+    return labels.astype(np.int64, copy=False)
 
 
 def _descending_sweep(scores, labels):
@@ -33,7 +33,8 @@ def _descending_sweep(scores, labels):
         raise UndefinedMetricError("scores contain NaN, which has no rank")
     order = np.argsort(-scores, kind="mergesort")
     s = scores[order]
-    seen = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.size)
+    seen = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    seen += 1
     del s  # free the sorted scores, then the order, before the n-long cumsum
     tp = labels[order]
     del order
@@ -49,10 +50,18 @@ def auroc(scores, labels):
         raise UndefinedMetricError(
             f"auroc needs both classes, got {n_pos} positives / {n_neg} negatives")
     seen, tp = _descending_sweep(scores, labels)
+    neg = np.diff(seen, prepend=0)
+    del seen
     pos = np.diff(tp, prepend=0)
-    neg = np.diff(seen, prepend=0) - pos
-    # each negative counts the positives up to its step, its own step's at half
-    return float((neg * (tp - 0.5 * pos)).sum()) / (n_pos * n_neg)
+    neg -= pos
+    # each negative counts the positives up to its step, its own step's at
+    # half: neg * (tp - 0.5 * pos), reduced in place
+    credit = np.multiply(pos, 0.5)
+    del pos
+    np.subtract(tp, credit, out=credit)
+    del tp
+    credit *= neg
+    return float(credit.sum()) / (n_pos * n_neg)
 
 
 def average_precision(scores, labels):

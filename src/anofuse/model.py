@@ -5,8 +5,15 @@ Every vision group ends with a residual adapter on the patch tokens (the
 multi-branch convolutional one, or a plain low-rank one for the ablation
 baseline) and every text group ends with a plain low-rank residual. Only
 adapters, text residuals, and the fusion gateway train; backbone weights
-are drawn once from the model seed and never receive gradients. There is
-one forward path and it keeps no intermediate state between calls.
+are drawn once from the model seed and never receive gradients.
+
+A subgraph with no trainable input is a constant. The frozen prefix is
+such a subgraph: patchify plus the group-0 vision blocks for each image,
+and the group-0 text blocks for each prompt. There is one forward path:
+`forward_from` starts from the prefix, and `forward(images)` computes the
+prefix and calls it. Callers that see the same images or prompts again
+compute the prefix once and pass it in; the model keeps no state between
+calls.
 """
 
 from __future__ import annotations
@@ -131,16 +138,26 @@ class GroupedModel:
         seq = np.concatenate([cls, tokens], axis=1) + self.vis_pos.data
         return Tensor(seq)
 
-    def vision_forward(self, images):
-        """Run all vision groups; adapters update patch tokens after each group.
+    def vision_prefix(self, images):
+        """Patchify, then the group-0 blocks: the (B, 1 + P, C) tokens that
+        enter the first adapter. Row i depends on image i alone."""
+        x = self.patchify(images)
+        for block in self.vision_groups[0]:
+            x = block(x)
+        return x
+
+    def vision_forward(self, prefix):
+        """Run the vision groups from the prefix; adapters update patch tokens
+        after each group.
 
         Returns (V_list, v_cls_final): V_list[i] is the post-adapter patch
         token tensor of group i, v_cls_final the final class token.
         """
-        x = self.patchify(images)
+        x = prefix
         v_list = []
         for g in range(self.config.n_groups):
-            for block in self.vision_groups[g]:
+            # group 0's blocks belong to the prefix
+            for block in self.vision_groups[g] if g else ():
                 x = block(x)
             patches = x[:, 1:, :]
             patches = patches + self.vision_adapters[g](patches, self.grid)
@@ -156,18 +173,29 @@ class GroupedModel:
         seq = self.tok_embed.data[list(ids)] + self.txt_pos.data[:len(ids)]
         return Tensor(seq[None, :, :])
 
-    def text_forward(self):
-        """Per-state, per-group pooled text features.
+    def text_prefix(self):
+        """Each state's prompt through the group-0 text blocks: one (1, L, C)
+        tensor per state index."""
+        out = []
+        for state in STATES:
+            x = self.embed_prompt(state)
+            for block in self.text_groups[0]:
+                x = block(x)
+            out.append(x)
+        return tuple(out)
+
+    def text_forward(self, prefix):
+        """Per-state, per-group pooled text features, from the text prefix.
 
         Returns (t_feats, anchor): t_feats[g][s] is a (C,) tensor for group g
         and state index s; anchor is the final group's (normal, abnormal)
         pair, i.e. the unfused features used for classification.
         """
         t_feats = [[None] * len(STATES) for _ in range(self.config.n_groups)]
-        for s, state in enumerate(STATES):
-            x = self.embed_prompt(state)
+        for s, x in enumerate(prefix):
             for g in range(self.config.n_groups):
-                for block in self.text_groups[g]:
+                # group 0's blocks belong to the prefix
+                for block in self.text_groups[g] if g else ():
                     x = block(x)
                 x = x + self.text_loras[g](x)
                 t_feats[g][s] = x[0, -1, :]
@@ -176,14 +204,22 @@ class GroupedModel:
 
     # ------------------------------------------------------------------
 
-    def forward(self, images):
-        """Full pipeline: encoders, gateway, per-level and aggregated maps."""
-        v_list, v_cls = self.vision_forward(images)
-        t_feats, anchor = self.text_forward()
+    def forward_from(self, vision_prefix, text):
+        """Encoders from the vision prefix, gateway, per-level and aggregated
+        maps. `text` is what `text_forward` returns."""
+        v_list, v_cls = self.vision_forward(vision_prefix)
+        t_feats, anchor = text
         amap = self.gateway.forward(v_list, t_feats, self.grid,
                                     (self.config.image_size, self.config.image_size))
         return ModelOutputs(v_list=v_list, v_cls=v_cls, t_feats=t_feats,
                             anchor=anchor, amap=amap)
+
+    def forward(self, images, text=None):
+        """Full pipeline on pixels: the vision prefix, then `forward_from`.
+        `text` is what `text_forward` returns, computed here when None."""
+        if text is None:
+            text = self.text_forward(self.text_prefix())
+        return self.forward_from(self.vision_prefix(images), text)
 
     def named_params(self):
         out = {}

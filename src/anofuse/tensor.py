@@ -117,12 +117,12 @@ class Tensor:
                 continue
             if node._vjp is not None:
                 for parent, pg in zip(node._parents, node._vjp(g)):
-                    if pg is None or not parent.requires_grad:
+                    if pg is None:
                         continue
-                    if id(parent) in grads:
-                        grads[id(parent)] += pg
-                    else:
-                        grads[id(parent)] = pg
+                    # out of place: a VJP may hand one array (or views of it)
+                    # to several parents, and a leaf may already hold it
+                    prev = grads.get(id(parent))
+                    grads[id(parent)] = pg if prev is None else prev + pg
             elif node.trainable:
                 node.grad = g if node.grad is None else node.grad + g
 
@@ -174,26 +174,39 @@ def _unbroadcast(g, shape):
 # elementwise and reduction primitives
 
 
+# A VJP returns None for a parent that does not require a gradient (a frozen
+# weight or a constant) and does not compute that gradient. Single-parent
+# primitives need no such test: `_node` records a graph only when some parent
+# requires a gradient.
+
+
 def add(a, b):
-    return _node(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+    return _node(a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b):
-    return _node(a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+    return _node(a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b):
-    return _node(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                            _unbroadcast(g * a.data, b.data.shape)))
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+    return _node(a.data * b.data, (a, b), vjp)
 
 
 def div(a, b):
-    return _node(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+    def vjp(g):
+        return (_unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad else None)
+    return _node(a.data / b.data, (a, b), vjp)
 
 
 def pow_const(a, c):
@@ -284,7 +297,8 @@ def concat(tensors, axis):
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(pg if t.requires_grad else None
+                     for t, pg in zip(tensors, np.split(g, splits, axis=axis)))
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
@@ -303,9 +317,12 @@ def matmul(a, b):
         raise ShapeError("matmul operands must have rank >= 2")
 
     def vjp(g):
-        da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(da, a.data.shape), _unbroadcast(db, b.data.shape))
+        da = db = None
+        if a.requires_grad:
+            da = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+        if b.requires_grad:
+            db = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return (da, db)
     return _node(np.matmul(a.data, b.data), (a, b), vjp)
 
 
@@ -418,8 +435,11 @@ def conv2d_same(x, w):
 
         def vjp1(g):
             gm = g.reshape(b, cout, h * wdt)
-            dw = np.einsum("bop,bkp->ok", gm, xd.reshape(b, cin, h * wdt)).reshape(wd.shape)
-            dx = np.matmul(wd.reshape(cout, cin).T, gm).reshape(xd.shape)
+            dx = dw = None
+            if w.requires_grad:
+                dw = np.einsum("bop,bkp->ok", gm, xd.reshape(b, cin, h * wdt)).reshape(wd.shape)
+            if x.requires_grad:
+                dx = np.matmul(wd.reshape(cout, cin).T, gm).reshape(xd.shape)
             return (dx, dw)
         return _node(y, (x, w), vjp1)
 
@@ -434,7 +454,9 @@ def conv2d_same(x, w):
 
     def vjp(g):
         gm = g.reshape(b, cout, h * wdt).transpose(0, 2, 1)           # (B, HW, Cout)
-        dw = np.einsum("bpo,bpk->ok", gm, cols).reshape(wd.shape)
+        dw = np.einsum("bpo,bpk->ok", gm, cols).reshape(wd.shape) if w.requires_grad else None
+        if not x.requires_grad:
+            return (None, dw)
         dcols = np.matmul(gm, wflat)                                  # (B, HW, Cin*k*k)
         dcols = dcols.transpose(0, 2, 1).reshape(b, cin, k, k, h, wdt)
         dxp = np.zeros_like(xp)

@@ -14,7 +14,7 @@ from .gateway import STATES
 from .losses import cls_probs, image_score, model_loss
 from .metrics import MetricsReport, auroc, average_precision, gate_entropy
 from .model import build_model
-from .tensor import grad, no_grad
+from .tensor import Tensor, grad, no_grad
 
 EVAL_BATCH = 16
 
@@ -65,20 +65,42 @@ class TrainResult:
     test_samples: list = field(default_factory=list)
 
 
+def vision_prefix_rows(model, samples, batch_size):
+    """The model's vision prefix of every sample, one (1 + P, C) array each.
+
+    Computed `batch_size` images at a time, so the peak memory is that of a
+    training step, and copied out row by row, so each chunk is freed after
+    its turn.
+    """
+    rows = []
+    for start in range(0, len(samples), batch_size):
+        images, _, _ = batch_arrays(samples[start:start + batch_size])
+        rows.extend(row.copy() for row in model.vision_prefix(images).data)
+    return rows
+
+
 def train(config: RunConfig, corpora=None) -> TrainResult:
-    """Deterministic training run; aborts with the trace on divergence."""
+    """Deterministic training run; aborts with the trace on divergence.
+
+    The frozen prefix of every training image and of the prompts is
+    computed once per run; each step gathers its batch's rows.
+    """
     config.validate()
     model = build_model(config)
     train_samples, test_samples = corpora if corpora is not None else get_corpora(config)
     opt = Adam(model.trainable_params(), config.lr)
     batches = _batch_indices(len(train_samples), config.batch_size,
                              np.random.default_rng(config.data_seed + 10_000))
+    vision_rows = vision_prefix_rows(model, train_samples, config.batch_size)
+    text_prefix = model.text_prefix()
     trace = []
     for step in range(config.steps):
         idx = next(batches)
-        images, masks, labels = batch_arrays([train_samples[i] for i in idx])
+        _, masks, labels = batch_arrays([train_samples[i] for i in idx])
+        prefix = Tensor(np.stack([vision_rows[i] for i in idx]))
         try:
-            total, seg, cls, _ = model_loss(model, images, masks, labels, config)
+            out = model.forward_from(prefix, model.text_forward(text_prefix))
+            total, seg, cls = model_loss(out, masks, labels, config)
             grads = grad(total, model.trainable_params())
         except TrainingError as exc:
             exc.trace = trace
@@ -98,9 +120,10 @@ def predict(model, samples):
     """
     maps, scores, weights = [], [], {}
     with no_grad():
+        text = model.text_forward(model.text_prefix())
         for start in range(0, len(samples), EVAL_BATCH):
             images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
-            out = model.forward(images)
+            out = model.forward(images, text)
             up = out.amap.upsampled.data
             p_abn = cls_probs(out.v_cls, out.anchor, model.config.temperature).data[:, 1]
             maps.append(up)

@@ -10,8 +10,9 @@ differ by three times the truncation error at h plus the change in
 roundoff, so that difference measures how far the numeric side can be off.
 No entry is skipped: a structurally zero gradient has analytic and numeric
 value 0 and passes, and a dropped gradient path (analytic 0 against a large
-numeric value) fails. Every perturbed evaluation re-runs the full forward
-pass; no intermediate state is cached between evaluations.
+numeric value) fails. Every perturbed evaluation of the full-model suite
+re-runs the forward pass from the model's frozen prefix, which no trainable
+tensor feeds and which is computed once.
 """
 
 from __future__ import annotations
@@ -112,8 +113,12 @@ def full_model_gradient_suite(config) -> GradCheckResult:
             if samples[0].label == 1:
                 break
     images, masks, labels = batch_arrays(samples)
-    return check_gradients(lambda: model_loss(model, images, masks, labels, config)[0],
-                           model.trainable_params())
+    prefix, text_prefix = model.vision_prefix(images), model.text_prefix()
+
+    def loss():
+        out = model.forward_from(prefix, model.text_forward(text_prefix))
+        return model_loss(out, masks, labels, config)[0]
+    return check_gradients(loss, model.trainable_params())
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_zero_init_adapters_do_not_change_backbone():
     cfg = small_config()
     m = build_model(cfg)
     images = rand_images(cfg, 2, seed=4)
-    v_list, v_cls = m.vision_forward(images)
+    v_list, v_cls = m.vision_forward(m.vision_prefix(images))
     # plain backbone: same blocks, no adapter application
     x = m.patchify(images)
     for g in range(cfg.n_groups):
@@ -77,7 +77,7 @@ def test_single_group_is_full_depth():
     cfg = small_config(n_groups=1)
     m = build_model(cfg)
     images = rand_images(cfg, 1, seed=5)
-    v_list, _ = m.vision_forward(images)
+    v_list, _ = m.vision_forward(m.vision_prefix(images))
     assert len(v_list) == 1
     x = m.patchify(images)
     for blk in m.vision_groups[0]:
@@ -92,7 +92,7 @@ def test_vision_forward_staged_oracle_with_live_adapters():
     for ad in m.vision_adapters:
         ad.w_up.data[:] = rng.normal(0, 0.2, ad.w_up.data.shape)
     images = rand_images(cfg, 2, seed=7)
-    v_list, v_cls = m.vision_forward(images)
+    v_list, v_cls = m.vision_forward(m.vision_prefix(images))
     # staged manual run, group by group
     x = m.patchify(images)
     for g in range(2):
@@ -109,7 +109,7 @@ def test_vision_forward_staged_oracle_with_live_adapters():
 def test_text_forward_zero_init_matches_frozen_stack():
     cfg = small_config()
     m = build_model(cfg)
-    t_feats, anchor = m.text_forward()
+    t_feats, anchor = m.text_forward(m.text_prefix())
     for s, state in enumerate(("normal", "abnormal")):
         x = m.embed_prompt(state)
         for g in range(cfg.n_groups):
@@ -124,7 +124,7 @@ def test_identical_prompts_give_identical_state_features():
     cfg = small_config()
     m = build_model(cfg)
     m.prompt_ids["abnormal"] = m.prompt_ids["normal"]
-    t_feats, _ = m.text_forward()
+    t_feats, _ = m.text_forward(m.text_prefix())
     for g in range(cfg.n_groups):
         np.testing.assert_array_equal(t_feats[g][0].data, t_feats[g][1].data)
 
@@ -170,7 +170,7 @@ def test_frozen_params_never_receive_gradients():
     rng = np.random.default_rng(8)
     for ad in m.vision_adapters:
         ad.w_up.data[:] = rng.normal(0, 0.1, ad.w_up.data.shape)
-    v_list, v_cls = m.vision_forward(rand_images(cfg, 1, seed=9))
+    v_list, v_cls = m.vision_forward(m.vision_prefix(rand_images(cfg, 1, seed=9)))
     loss = tsum(v_list[-1] ** 2) + tsum(v_cls ** 2)
     grads = grad(loss, m.named_params())
     frozen = {k for k, p in m.named_params().items() if not p.trainable}

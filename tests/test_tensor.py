@@ -358,6 +358,40 @@ def test_fd_mean_axes_and_sqrt():
     _fd_case(build, [(3, 5)], 22)
 
 
+def test_fd_gradient_handed_to_two_parents_is_not_aliased():
+    # add hands one gradient array to both of its parents, and reshape a view
+    # of it; accumulating p0's second term must leave p1's gradient alone
+    c = np.array([0.3, -1.2, 0.7])
+
+    def build(p):
+        return T.tsum((p["p0"] + T.reshape(p["p1"], (3,))) * c) + T.tsum(p["p0"] * p["p0"])
+    _fd_case(build, [(3,), (3, 1)], 23)
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (T.add, [(3, 4), (4,)]),
+    (T.sub, [(3, 4), (3, 1)]),
+    (T.mul, [(3, 4), (4,)]),
+    (T.div, [(3, 4), (3, 4)]),
+    (T.matmul, [(2, 3, 4), (4, 5)]),
+    (T.conv2d_same, [(2, 3, 4, 4), (5, 3, 1, 1)]),
+    (T.conv2d_same, [(2, 3, 4, 4), (5, 3, 3, 3)]),
+    (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+], ids=["add", "sub", "mul", "div", "matmul", "conv_k1", "conv_k3", "concat"])
+def test_vjp_skips_the_gradient_of_a_frozen_parent(op, shapes):
+    rng = np.random.default_rng(24)
+    data = [rng.uniform(0.5, 1.5, s) for s in shapes]  # divisors away from 0
+    g = rng.normal(size=op(T.Tensor(data[0]), T.Tensor(data[1])).data.shape)
+    both = op(*(T.parameter(d) for d in data))._vjp(g)
+    for frozen in (0, 1):
+        live = 1 - frozen
+        parents = [T.parameter(d, trainable=i == live) for i, d in enumerate(data)]
+        got = op(*parents)._vjp(g)
+        assert got[frozen] is None
+        assert got[live].shape == both[live].shape
+        assert np.array_equal(got[live], both[live])
+
+
 @pytest.mark.parametrize("bug,wrong", [
     (lambda ga, gb: (ga * (1 + 1e-3), gb), "p0"),
     (lambda ga, gb: (ga, np.zeros_like(gb)), "p1"),

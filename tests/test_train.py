@@ -2,9 +2,52 @@ import numpy as np
 import pytest
 
 from anofuse.config import RunConfig
-from anofuse.data import get_corpora
+from anofuse.data import batch_arrays, gen_synthetic, get_corpora
 from anofuse.errors import TrainingError
-from anofuse.train import _batch_indices, train
+from anofuse.losses import cls_probs, image_score
+from anofuse.model import build_model
+from anofuse.tensor import Tensor, no_grad
+from anofuse.train import EVAL_BATCH, _batch_indices, predict, train, vision_prefix_rows
+from anofuse.verify import randomize_trainables
+
+
+def live_model():
+    cfg = RunConfig(n_groups=2, channels=16, heads=2, rank=2, gate_hidden=4, patch_size=8,
+                    image_size=16, defect_min=3, defect_max=8, batch_size=8)
+    model = build_model(cfg)
+    randomize_trainables(model, 7)
+    return model, gen_synthetic(cfg, 3, n=40)
+
+
+@pytest.mark.parametrize("b", [1, 7, 32])
+def test_forward_from_gathered_prefix_rows_equals_forward(b):
+    model, samples = live_model()
+    rows = vision_prefix_rows(model, samples, model.config.batch_size)
+    idx = np.random.default_rng(b).permutation(len(samples))[:b]
+    images, _, _ = batch_arrays([samples[i] for i in idx])
+    want = model.forward(images)
+    got = model.forward_from(Tensor(np.stack([rows[i] for i in idx])),
+                             model.text_forward(model.text_prefix()))
+    assert np.array_equal(got.amap.upsampled.data, want.amap.upsampled.data)
+    assert np.array_equal(got.v_cls.data, want.v_cls.data)
+    for g, v in enumerate(want.v_list):
+        assert np.array_equal(got.v_list[g].data, v.data)
+
+
+def test_predict_equals_forward_batch_by_batch():
+    model, samples = live_model()
+    maps, scores, weights = predict(model, samples)
+    with no_grad():
+        for start in range(0, len(samples), EVAL_BATCH):
+            images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
+            out = model.forward(images)
+            end = start + len(images)
+            up = out.amap.upsampled.data
+            p_abn = cls_probs(out.v_cls, out.anchor, model.config.temperature).data[:, 1]
+            assert np.array_equal(maps[start:end], up)
+            assert np.array_equal(scores[start:end], image_score(p_abn, up))
+            for key, rows in out.amap.fusion_weights.items():
+                assert np.array_equal(weights[key][start:end], rows)
 
 
 def test_diverging_run_keeps_trace_and_parameter_snapshot():
