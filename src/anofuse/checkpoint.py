@@ -1,8 +1,10 @@
-"""Byte-stable checkpoint container: config echo plus every parameter by
-hierarchical name. Same seed and step always produce identical bytes."""
+"""Byte-stable checkpoint container: config echo, the sha256 of the frozen
+backbone (which `build_model` redraws from the model seed on load), and the
+trainable parameters by hierarchical name. Same seed and step give identical bytes."""
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -10,19 +12,29 @@ import numpy as np
 from .config import parse_config_text
 from .errors import DatasetError
 
-MAGIC = b"anofuse-ckpt v1\n"
+MAGIC = b"anofuse-ckpt v2\n"
+
+
+def frozen_digest(model):
+    """sha256 of the frozen tensors' little-endian float64 bytes, by sorted name."""
+    h = hashlib.sha256()
+    for name, t in sorted(model.named_params().items()):
+        if not t.trainable:
+            h.update(np.ascontiguousarray(t.data, dtype="<f8"))
+    return h.hexdigest()
 
 
 def save_checkpoint(model, path, step=0):
     echo = model.config.echo_lines()
     parts = [MAGIC, f"step {step}\n".encode(), f"config {len(echo)}\n".encode()]
     parts.extend((line + "\n").encode() for line in echo)
-    params = model.named_params()
+    parts.append(f"frozen {frozen_digest(model)}\n".encode())
+    params = model.trainable_params()
     parts.append(f"params {len(params)}\n".encode())
     for name in sorted(params):
         t = params[name]
         shape = ",".join(str(d) for d in t.data.shape)
-        parts.append(f"{name} {shape} {int(t.trainable)}\n".encode())
+        parts.append(f"{name} {shape}\n".encode())
         parts.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -46,11 +58,14 @@ def _count(line, key, path):
 
 
 def load_checkpoint(path):
-    """Rebuild the model from the stored config, then load parameter data."""
+    """Rebuild the model from the stored config, check its frozen backbone
+    against the stored digest, then load the trainable parameters."""
     from .model import build_model
 
     blob = Path(path).read_bytes()
     if not blob.startswith(MAGIC):
+        if MAGIC.startswith(blob):
+            raise DatasetError(f"{path}: truncated checkpoint")
         raise DatasetError(f"{path} is not a checkpoint (bad magic)")
     pos = len(MAGIC)
     line, pos = _line(blob, pos, path)
@@ -63,28 +78,35 @@ def load_checkpoint(path):
         cfg_lines.append(line)
     config = parse_config_text("\n".join(cfg_lines)).validate()
     model = build_model(config)
-    params = model.named_params()
+    line, pos = _line(blob, pos, path)
+    if not line.startswith("frozen "):
+        raise DatasetError(f"{path}: corrupt checkpoint header {line!r}, want 'frozen <sha256>'")
+    if line != f"frozen {frozen_digest(model)}":
+        raise DatasetError(f"{path}: frozen weights differ from those model_seed "
+                           f"{config.model_seed} builds (digest mismatch)")
+    params = model.trainable_params()
     line, pos = _line(blob, pos, path)
     n_params = _count(line, "params", path)
     if n_params != len(params):
-        raise DatasetError(f"checkpoint has {n_params} params, model wants {len(params)}")
+        raise DatasetError(f"{path}: checkpoint has {n_params} params, model wants {len(params)}")
     for _ in range(n_params):
         line, pos = _line(blob, pos, path)
         try:
-            name, shape_csv, trainable = line.rsplit(" ", 2)
+            name, shape_csv = line.rsplit(" ", 1)
             shape = tuple(int(d) for d in shape_csv.split(",") if d)
-            trainable = bool(int(trainable))
         except ValueError:
             raise DatasetError(f"{path}: corrupt parameter header {line!r}") from None
         if name not in params:
-            raise DatasetError(f"unknown parameter {name!r} in checkpoint")
+            raise DatasetError(f"{path}: unknown parameter {name!r} in checkpoint")
         t = params[name]
-        if shape != t.data.shape or trainable != t.trainable:
-            raise DatasetError(f"parameter {name!r} mismatch: {shape} vs {t.data.shape}")
+        if shape != t.data.shape:
+            raise DatasetError(f"{path}: parameter {name!r} mismatch: {shape} vs {t.data.shape}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         if pos + nbytes > len(blob):
-            raise DatasetError(f"truncated parameter data for {name!r}")
+            raise DatasetError(f"{path}: truncated parameter data for {name!r}")
         t.data = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
                                offset=pos).reshape(shape).copy()
         pos += nbytes
+    if pos != len(blob):
+        raise DatasetError(f"{path}: {len(blob) - pos} bytes after the last parameter")
     return model, step

@@ -7,7 +7,8 @@ keys are rejected with the full list of valid keys so typos fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -59,7 +60,8 @@ class RunConfig:
 
     def validate(self):
         """Raise ConfigurationError naming every offending field."""
-        bad = []
+        bad = [f"{f.name}={v} (need finite)" for f in fields(self)
+               if isinstance(v := getattr(self, f.name), float) and not math.isfinite(v)]
         if self.n_groups < 1:
             bad.append(f"n_groups={self.n_groups} (need >= 1)")
         if self.blocks_per_group < 1:

@@ -109,14 +109,16 @@ def gen_synthetic(config, seed, n=None, prefix="s"):
 def get_corpora(config):
     """(train, test) sample lists, from disk when data_dir is set.
 
-    Images loaded from disk must be image_size pixels square; a file of any
-    other size raises DatasetError naming it.
+    A split on disk without images, or an image that is not image_size
+    pixels square, raises DatasetError naming the directory or the file.
     """
     if config.data_dir:
         corpora = (load_dataset(config.data_dir, "train"),
                    load_dataset(config.data_dir, "test"))
         size = config.image_size
         for split, samples in zip(("train", "test"), corpora):
+            if not samples:
+                raise DatasetError(f"{Path(config.data_dir) / split} holds no images")
             for s in samples:
                 if s.image.shape != (size, size):
                     path = (Path(config.data_dir) / split / ("defect" if s.label else "good")

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
-from .tensor import (NORM_FLOOR, Tensor, bilinear_upsample, concat, gap, matmul,
-                     maximum_const, parameter, reshape, softmax, sqrt, tanh, tsum)
+from .errors import ShapeError
+from .tensor import (NORM_FLOOR, Tensor, bilinear_upsample, concat, matmul, maximum_const,
+                     parameter, reshape, softmax, sqrt, tanh, tmean, tsum)
 
 STATES = ("normal", "abnormal")
 
@@ -39,10 +39,6 @@ class AnomalyMap:
 class FusionGateway:
     def __init__(self, channels, n_groups, hidden, temperature, dynamic=True,
                  rng=None, name="gateway"):
-        if temperature <= 0:
-            raise ConfigurationError(f"temperature must be positive, got {temperature}")
-        if hidden < 1:
-            raise ConfigurationError(f"gate hidden width must be >= 1, got {hidden}")
         self.channels = channels
         self.n_groups = n_groups
         self.hidden = hidden
@@ -62,8 +58,6 @@ class FusionGateway:
 
     def gate_logits(self, v_global, state):
         """Two-layer gating MLP: (B, C) context -> (B, N) logits."""
-        if not self.dynamic:
-            raise ConfigurationError("gateway built without gating parameters")
         h = tanh(matmul(v_global, self.w1[state]))
         return matmul(h, self.w2[state])
 
@@ -116,7 +110,7 @@ class FusionGateway:
         per_level = []
         weights_used = {}
         for i in range(n):
-            v_glob = gap(v_list[i])
+            v_glob = tmean(v_list[i], axis=1)
             fused = []
             for s in range(len(STATES)):
                 if self.dynamic:
@@ -142,6 +136,3 @@ class FusionGateway:
                 out[self.w1[state].name] = self.w1[state]
                 out[self.w2[state].name] = self.w2[state]
         return out
-
-    def param_count(self):
-        return sum(t.data.size for t in self.named_params().values())

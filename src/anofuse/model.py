@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as tt
 from .adapter import ConvLoraAdapter, LowRankAdapter
 from .config import RunConfig
-from .errors import ConfigurationError, ShapeError
+from .errors import ShapeError
 from .gateway import STATES, FusionGateway
 from .tensor import Tensor, gelu, layer_norm, matmul, parameter, reshape, softmax, transpose
 
@@ -111,13 +111,8 @@ class GroupedModel:
         self.gateway = FusionGateway(c, n, config.resolved_gate_hidden(),
                                      config.temperature, dynamic=config.dfg_on, rng=rng)
 
-        self.prompt_ids = {}
-        for state in STATES:
-            ids = tuple(VOCAB.index(w) for w in PROMPTS[state])
-            if len(ids) > TEXT_CAPACITY:
-                raise ConfigurationError(
-                    f"prompt for {state!r} has {len(ids)} tokens, capacity {TEXT_CAPACITY}")
-            self.prompt_ids[state] = ids
+        self.prompt_ids = {state: tuple(VOCAB.index(w) for w in PROMPTS[state])
+                           for state in STATES}
 
     # ------------------------------------------------------------------
     # vision path

@@ -373,16 +373,6 @@ def gelu(a):
     return _node(out_data, (a,), vjp)
 
 
-def linear(x, w):
-    """Per-token projection of a (B, L, Cin) sequence by a (Cin, Cout) matrix."""
-    if w.data.ndim != 2:
-        raise ShapeError(f"linear weight must be rank 2, got {w.data.ndim}")
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(
-            f"channel mismatch: input has {x.data.shape[-1]}, weight expects {w.data.shape[0]}")
-    return matmul(x, w)
-
-
 # ---------------------------------------------------------------------------
 # sequence <-> spatial reshape operators
 
@@ -469,14 +459,7 @@ def conv2d_same(x, w):
 
 
 # ---------------------------------------------------------------------------
-# pooling, similarity, upsampling
-
-
-def gap(x):
-    """Global average pool over the token axis of a (B, L, C) sequence."""
-    if x.data.ndim != 3:
-        raise ShapeError("gap expects a (B, L, C) sequence")
-    return tmean(x, axis=1)
+# similarity, upsampling
 
 
 # floor applied to norms inside differentiable cosine paths; far below any

@@ -35,6 +35,35 @@ def test_save_load_save_is_byte_identical(saved, tmp_path):
     assert (tmp_path / "b.ckpt").read_bytes() == path.read_bytes()
 
 
+def test_only_trainable_tensors_are_stored(saved):
+    model, path = saved
+    blob = path.read_bytes()
+    assert blob.startswith(b"anofuse-ckpt v2\nstep 7\nconfig ")
+    for name, p in model.named_params().items():
+        stored = (f"{name} ".encode() if p.trainable else name.encode()) in blob
+        assert stored == p.trainable, name
+    trainable_bytes = 8 * sum(p.data.size for p in model.trainable_params().values())
+    assert len(blob) < trainable_bytes + 2048
+
+
+def test_edited_frozen_weight_rejected_naming_the_file(tmp_path):
+    model = build_model(tiny_config())
+    model.named_params()["vision.g1.b0.wq"].data[0, 0] += 1e-12
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(DatasetError, match="frozen weights differ") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_bytes_after_the_last_parameter_rejected(saved):
+    _, path = saved
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(DatasetError, match="1 bytes after the last parameter") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 def test_bad_magic_rejected(saved):
     _, path = saved
     path.write_bytes(b"not-a-checkpoint\n" + path.read_bytes()[len(MAGIC):])
@@ -51,12 +80,20 @@ def test_truncation_rejected(saved, keep):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("keep", [0, len(MAGIC) - 1])
+def test_prefix_of_magic_is_truncated(saved, keep):
+    _, path = saved
+    path.write_bytes(MAGIC[:keep])
+    with pytest.raises(DatasetError, match="truncated"):
+        load_checkpoint(path)
+
+
 def test_shape_mismatch_rejected(saved):
     _, path = saved
     blob = path.read_bytes()
-    header = b"text.g0.lora.w_up 2,8 1\n"
+    header = b"text.g0.lora.w_up 2,8\n"
     assert header in blob
-    path.write_bytes(blob.replace(header, b"text.g0.lora.w_up 8,2 1\n"))
+    path.write_bytes(blob.replace(header, b"text.g0.lora.w_up 8,2\n"))
     with pytest.raises(DatasetError, match="mismatch"):
         load_checkpoint(path)
 
@@ -65,7 +102,8 @@ def test_shape_mismatch_rejected(saved):
     (b"step 7\n", b"step x\n"),
     (b"step 7\n", b"step \xff\n"),
     (b"\nconfig ", b"\nconfig\n"),
-    (b"text.g0.lora.w_up 2,8 1\n", b"text.g0.lora.w_up2,81\n"),
+    pytest.param(b"text.g0.lora.w_up 2,8\n", b"text.g0.lora.w_up2,8\n", id="param_header"),
+    (b"\nfrozen ", b"\nfrozen\n"),
 ])
 def test_corrupt_header_rejected_naming_the_file(saved, good, bad):
     _, path = saved

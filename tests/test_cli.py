@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import pytest
 
 from anofuse.cli import main
@@ -49,6 +52,44 @@ def test_eval_on_images_of_another_size_is_one_error_line(run_dir, tmp_path, cap
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert ".pgm is 32x32 pixels, config image_size is 16" in err[0]
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_data_dir_split_without_images_is_one_error_line(tmp_path, split, capsys):
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data)] + TINY) == 0
+    for path in (data / split).rglob("*.pgm"):
+        path.unlink()
+    capsys.readouterr()
+    assert main(["train", "--out", str(tmp_path / "run"), "--data_dir", str(data)] + TINY) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {data / split} holds no images"]
+
+
+@pytest.mark.parametrize("override", [["--lr", "nan"], ["--lr", "inf"], ["--temperature", "nan"],
+                                      ["--dice_smooth", "nan"], ["--lambda_cls", "inf"],
+                                      ["--focal_gamma", "inf"]],
+                         ids=lambda o: f"{o[0][2:]}={o[1]}")
+def test_non_finite_setting_is_one_error_line(tmp_path, override, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--out", str(tmp_path)] + TINY + override) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid config: ")
+    assert f"{override[0][2:]}={override[1]} (need finite)" in err[0]
+
+
+def test_checkpoint_of_other_frozen_weights_is_one_error_line(run_dir, tmp_path, capsys):
+    blob = (run_dir / "checkpoint.bin").read_bytes()
+    edited = re.sub(rb"\nfrozen [0-9a-f]{64}\n", b"\nfrozen " + b"0" * 64 + b"\n", blob)
+    assert edited != blob
+    path = tmp_path / "edited.bin"
+    path.write_bytes(edited)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: frozen weights differ")
 
 
 def test_unknown_key_is_one_error_line(tmp_path, capsys):

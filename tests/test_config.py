@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import pytest
 
 from anofuse.config import VALID_KEYS, RunConfig, apply_overrides, load_config, parse_config_text
@@ -64,3 +67,31 @@ def test_loss_settings_validated_with_the_run():
         RunConfig(lambda_focal=0.0, lambda_dice=0.0, lambda_cls=0.0).validate()
     with pytest.raises(ConfigurationError, match=">= 0"):
         RunConfig(lambda_cls=-1.0).validate()
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"rank": 64}, "rank=64"),
+    ({"temperature": 0.0}, "temperature=0.0"),
+    ({"branch_kernels": ()}, "branch_kernels is empty"),
+    ({"branch_kernels": (3, 4)}, "branch kernel 4"),
+], ids=["rank_equals_channels", "zero_temperature", "no_kernels", "even_kernel"])
+def test_adapter_and_gateway_settings_validated(override, message):
+    with pytest.raises(ConfigurationError, match=message):
+        RunConfig(**override).validate()
+
+
+FLOAT_FIELDS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(ConfigurationError, match=f"{key}={value} \\(need finite\\)"):
+        RunConfig(**{key: value}).validate()
+
+
+def test_every_non_finite_float_is_named():
+    assert len(FLOAT_FIELDS) == 11
+    with pytest.raises(ConfigurationError) as err:
+        RunConfig(**{key: math.nan for key in FLOAT_FIELDS}).validate()
+    assert all(f"{key}=nan" in str(err.value) for key in FLOAT_FIELDS)

@@ -20,7 +20,7 @@ TINY = ["--n_groups", "2", "--channels", "16", "--heads", "2", "--rank", "2",
 RUN_SHA256 = {
     "run/trace.csv": "c83e005a44b2bf2bc10ee586abc26f1f4d7d78d0fee976072fcb04d247cf3d95",
     "run/metrics.csv": "9b7434c592e2483fe61e91f6cb425883ac3819768c79dbf5bb8cb8f368a19f5e",
-    "run/checkpoint.bin": "a396a0b97d21dde72a2af4a2f5b925de22503831e9197beebdd4c99b6a69b5fc",
+    "run/checkpoint.bin": "c0fb6234c45115dec3a725e3ba1ffffa5651b2bf8c322a47fc20d5976c6fc51b",
     "maps/index.txt": "991366f89867dd05b2aa9aaacbad069617894ad20888b32db9835f008154cbda",
 }
 MAPS_SHA256 = "8aebf074dc9327d096e82555276038e9d941b4d1ba48d120b1b0cf24b93ba4c6"

@@ -95,32 +95,27 @@ def test_conv_rejects_channel_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# linear
+# linear: the per-token projection of a (B, L, Cin) sequence is a matmul
 
 
 def test_linear_identity_and_zero():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3, 4))
-    assert (T.linear(T.Tensor(x), T.Tensor(np.eye(4))).data == x).all()
-    assert (T.linear(T.Tensor(x), T.Tensor(np.zeros((4, 4)))).data == 0).all()
+    assert (T.matmul(T.Tensor(x), T.Tensor(np.eye(4))).data == x).all()
+    assert (T.matmul(T.Tensor(x), T.Tensor(np.zeros((4, 4)))).data == 0).all()
 
 
 def test_linear_loop_oracle():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(1, 2, 3))
     w = rng.normal(size=(3, 2))
-    got = T.linear(T.Tensor(x), T.Tensor(w)).data
+    got = T.matmul(T.Tensor(x), T.Tensor(w)).data
     want = np.zeros((1, 2, 2))
     for l in range(2):
         for o in range(2):
             for i in range(3):
                 want[0, l, o] += x[0, l, i] * w[i, o]
     assert np.abs(got - want).max() < 1e-12
-
-
-def test_linear_shape_mismatch():
-    with pytest.raises(ShapeError):
-        T.linear(T.Tensor(np.zeros((1, 2, 3))), T.Tensor(np.zeros((4, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +187,14 @@ def test_cosine_symmetry_and_scale_invariance():
 
 
 # ---------------------------------------------------------------------------
-# gap
+# gap: the global average pool over the token axis is tmean(x, axis=1)
 
 
 def test_gap_constant_and_hand_case():
     x = np.full((2, 5, 3), 1.5)
-    np.testing.assert_array_equal(T.gap(T.Tensor(x)).data, np.full((2, 3), 1.5))
+    np.testing.assert_array_equal(T.tmean(T.Tensor(x), axis=1).data, np.full((2, 3), 1.5))
     toks = np.array([[[0.0, 0.0], [2.0, 4.0]]])
-    np.testing.assert_array_equal(T.gap(T.Tensor(toks)).data, [[1.0, 2.0]])
+    np.testing.assert_array_equal(T.tmean(T.Tensor(toks), axis=1).data, [[1.0, 2.0]])
 
 
 def test_gap_loop_oracle():
@@ -209,7 +204,7 @@ def test_gap_loop_oracle():
     for b in range(3):
         for c in range(4):
             want[b, c] = sum(x[b, l, c] for l in range(5)) / 5.0
-    assert np.abs(T.gap(T.Tensor(x)).data - want).max() < 1e-12
+    assert np.abs(T.tmean(T.Tensor(x), axis=1).data - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
