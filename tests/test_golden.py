@@ -1,5 +1,6 @@
-"""Golden pins: the exact outputs of a tiny end-to-end run and of the
-full-model gradient suite on a tiny model.
+"""Golden pins: the exact outputs of a tiny end-to-end run, of a short run
+at the default model shape, and of the full-model gradient suite on a tiny
+model.
 
 Refactors must keep every output bit-identical for a fixed seed, so these
 values never change with a refactor. A change that alters the numbers on
@@ -9,8 +10,11 @@ The pins belong to the numpy/BLAS build they were generated with.
 
 import hashlib
 
+import numpy as np
+
 from anofuse.cli import main
 from anofuse.config import RunConfig
+from anofuse.train import predict, train
 from anofuse.verify import full_model_gradient_suite
 
 TINY = ["--n_groups", "2", "--channels", "16", "--heads", "2", "--rank", "2",
@@ -24,6 +28,15 @@ RUN_SHA256 = {
     "maps/index.txt": "991366f89867dd05b2aa9aaacbad069617894ad20888b32db9835f008154cbda",
 }
 MAPS_SHA256 = "8aebf074dc9327d096e82555276038e9d941b4d1ba48d120b1b0cf24b93ba4c6"
+
+# (total, seg, cls) of each step of train(RunConfig(steps=3, n_train=16, n_test=4))
+DEFAULT_TRACE = [
+    ("0x1.6b6f302e43466p+1", "0x1.ff73e587089fdp+0", "0x1.aed4f5aafbd9ep-1"),
+    ("0x1.5202b4f0cd21ep+1", "0x1.dd0005eae4cf5p+0", "0x1.8e0ac7ed6ae8fp-1"),
+    ("0x1.46f4398ec2147p+1", "0x1.cd1fb24db2d56p+0", "0x1.8191819fa2a70p-1"),
+]
+DEFAULT_TRAINABLES_SHA256 = "3363563d44a8ad142b1079db80fb208005123262b224a2f2180ba5efef2ecf8d"
+DEFAULT_MAPS_SHA256 = "9d516b0e0a6537af476a3907363c8b8ba7aff3066e5d357273894ff9c9b4836f"
 
 
 def _sha(blob):
@@ -41,6 +54,22 @@ def test_tiny_run_outputs_are_pinned(tmp_path, capsys):
         maps.update(path.name.encode())
         maps.update(path.read_bytes())
     assert maps.hexdigest() == MAPS_SHA256
+
+
+def _le_bytes(array):
+    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+
+
+def test_default_shape_run_is_pinned():
+    # the tiny run above misses last-bit changes that only the default
+    # channel count, group count and kernel set expose
+    result = train(RunConfig(steps=3, n_train=16, n_test=4))
+    assert [tuple(float(x).hex() for x in row[1:]) for row in result.trace] == DEFAULT_TRACE
+    params = result.model.trainable_params()
+    assert _sha(b"".join(_le_bytes(params[k].data) for k in sorted(params))) == \
+        DEFAULT_TRAINABLES_SHA256
+    maps, _, _ = predict(result.model, result.test_samples)
+    assert _sha(_le_bytes(maps)) == DEFAULT_MAPS_SHA256
 
 
 def test_tiny_gradient_suite_is_pinned():
