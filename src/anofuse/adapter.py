@@ -17,31 +17,30 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import (concat, conv2d_same, matmul, parameter, reshape_2d_to_seq,
-                     reshape_seq_to_2d)
+from .tensor import Tensor, concat, conv2d_same, matmul, reshape_2d_to_seq, reshape_seq_to_2d
 
 
 class ConvLoraAdapter:
-    def __init__(self, channels, rank, branch_kernels=(3, 5), rng=None, name="conv_lora"):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels, rank, branch_kernels, rng, name="conv_lora"):
         self.channels = channels
         self.rank = rank
         self.branch_kernels = tuple(branch_kernels)
         self.name = name
         c, r = channels, rank
-        self.w_down = parameter(rng.normal(0.0, c ** -0.5, (c, r)), name=f"{name}.w_down")
-        self.w_up = parameter(np.zeros((r, c)), name=f"{name}.w_up")
+        self.w_down = Tensor(rng.normal(0.0, c ** -0.5, (c, r)), trainable=True,
+                             name=f"{name}.w_down")
+        self.w_up = Tensor(np.zeros((r, c)), trainable=True, name=f"{name}.w_up")
         self.conv_down = {}
         self.conv_up = {}
         for k in self.branch_kernels:
             std = (r * k * k) ** -0.5
-            self.conv_down[k] = parameter(rng.normal(0.0, std, (r, r, k, k)),
-                                          name=f"{name}.conv_down_{k}")
-            self.conv_up[k] = parameter(rng.normal(0.0, std, (r, r, k, k)),
-                                        name=f"{name}.conv_up_{k}")
+            self.conv_down[k] = Tensor(rng.normal(0.0, std, (r, r, k, k)), trainable=True,
+                                       name=f"{name}.conv_down_{k}")
+            self.conv_up[k] = Tensor(rng.normal(0.0, std, (r, r, k, k)), trainable=True,
+                                     name=f"{name}.conv_up_{k}")
         n_in = len(self.branch_kernels) * c
-        self.fuse_1x1 = parameter(rng.normal(0.0, n_in ** -0.5, (c, n_in, 1, 1)),
-                                  name=f"{name}.fuse_1x1")
+        self.fuse_1x1 = Tensor(rng.normal(0.0, n_in ** -0.5, (c, n_in, 1, 1)), trainable=True,
+                               name=f"{name}.fuse_1x1")
 
     def branch_forward(self, x, k, grid):
         """One branch: bottleneck, two 1/k-scaled k x k convs, up-projection."""
@@ -75,14 +74,13 @@ class ConvLoraAdapter:
 class LowRankAdapter:
     """Plain rank-r residual adapter: x @ w_down @ w_up, up starts at zero."""
 
-    def __init__(self, channels, rank, rng=None, name="lora"):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, channels, rank, rng, name="lora"):
         self.channels = channels
         self.rank = rank
         self.name = name
-        self.w_down = parameter(rng.normal(0.0, channels ** -0.5, (channels, rank)),
-                                name=f"{name}.w_down")
-        self.w_up = parameter(np.zeros((rank, channels)), name=f"{name}.w_up")
+        self.w_down = Tensor(rng.normal(0.0, channels ** -0.5, (channels, rank)), trainable=True,
+                             name=f"{name}.w_down")
+        self.w_up = Tensor(np.zeros((rank, channels)), trainable=True, name=f"{name}.w_up")
 
     def forward(self, x, grid=None):
         return matmul(matmul(x, self.w_down), self.w_up)

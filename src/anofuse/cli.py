@@ -18,7 +18,7 @@ import numpy as np
 from .ablation import ablate
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, load_config
-from .data import export_dataset, gen_synthetic, get_corpora, write_pgm
+from .data import export_dataset, get_corpora, synthetic_corpora, write_pgm
 from .errors import (ConfigurationError, DatasetError, ShapeError, TrainingError,
                      UndefinedMetricError)
 from .metrics import MetricsReport
@@ -61,8 +61,7 @@ def _write_report(out_dir, report: MetricsReport):
 
 def cmd_gen(args, extra):
     cfg = _resolve_config(args, extra)
-    train_s = gen_synthetic(cfg, cfg.data_seed, cfg.n_train, prefix="train")
-    test_s = gen_synthetic(cfg, cfg.data_seed + 1, cfg.n_test, prefix="test")
+    train_s, test_s = synthetic_corpora(cfg)
     export_dataset(args.out, {"train": train_s, "test": test_s})
     n_def = sum(s.label for s in train_s) + sum(s.label for s in test_s)
     print(f"wrote {len(train_s)} train / {len(test_s)} test samples "

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .data import NOISE_FIELDS
 from .errors import ConfigurationError
 
 
@@ -66,10 +67,17 @@ class RunConfig:
             bad.append(f"n_groups={self.n_groups} (need >= 1)")
         if self.blocks_per_group < 1:
             bad.append(f"blocks_per_group={self.blocks_per_group} (need >= 1)")
-        if self.channels < 1 or self.channels % self.heads != 0:
+        if self.heads < 1:
+            bad.append(f"heads={self.heads} (need >= 1)")
+        elif self.channels < 1 or self.channels % self.heads != 0:
             bad.append(f"channels={self.channels} not divisible by heads={self.heads}")
-        if self.image_size % self.patch_size != 0:
+        if self.patch_size < 1:
+            bad.append(f"patch_size={self.patch_size} (need >= 1)")
+        elif self.image_size % self.patch_size != 0:
             bad.append(f"image_size={self.image_size} not divisible by patch_size={self.patch_size}")
+        if self.image_size < (n := max(NOISE_FIELDS)) and self.texture != "sinusoid":
+            bad.append(f"image_size={self.image_size} smaller than the noise texture's {n}x{n} "
+                       f"field (need >= {n} unless texture = sinusoid)")
         if not 1 <= self.rank < self.channels:
             bad.append(f"rank={self.rank} (need 1 <= rank < channels)")
         if not self.branch_kernels:
@@ -124,8 +132,7 @@ class RunConfig:
         return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-VALID_KEYS = sorted(_FIELD_TYPES)
+VALID_KEYS = sorted(f.name for f in fields(RunConfig))
 
 
 def _coerce(key, raw):
@@ -160,7 +167,7 @@ def apply_overrides(cfg, overrides):
     """Apply a {key: raw-string-or-value} mapping onto a RunConfig copy."""
     values = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
     for key, raw in overrides.items():
-        if key not in _FIELD_TYPES:
+        if key not in values:
             raise ConfigurationError(
                 f"unknown config key {key!r}; valid keys: {', '.join(VALID_KEYS)}")
         values[key] = _coerce(key, raw) if isinstance(raw, str) else raw

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetError
-from .tensor import bilinear_upsample
+from .errors import DatasetError
+from .tensor import bilinear_matrix
 
 
 @dataclass
@@ -26,6 +26,10 @@ class Sample:
     mask: np.ndarray   # (H, W) uint8 in {0, 1}
     label: int         # 1 iff mask has any positive pixel
     id: str
+
+
+# side lengths of the noise texture's random fields, upsampled to the image
+NOISE_FIELDS = (4, 8)
 
 
 def _texture(rng, size, family):
@@ -40,8 +44,8 @@ def _texture(rng, size, family):
         pat += 0.35 * rng.normal(size=(size, size))
         return pat
     # band-limited noise: coarse fields upsampled plus a fine component
-    coarse = bilinear_upsample(rng.normal(size=(4, 4)), (size, size))
-    mid = bilinear_upsample(rng.normal(size=(8, 8)), (size, size))
+    coarse, mid = ((bilinear_matrix((n, n), (size, size)) @ rng.normal(size=(n, n)).reshape(-1, 1))
+                   .reshape(size, size) for n in NOISE_FIELDS)
     fine = rng.normal(size=(size, size))
     return 1.0 * coarse + 0.7 * mid + 0.35 * fine
 
@@ -68,13 +72,9 @@ def _defect_mask(rng, size, lo, hi):
 TEXTURE_STD = 0.07
 
 
-def gen_synthetic(config, seed, n=None, prefix="s"):
+def gen_synthetic(config, seed, n, prefix="s"):
     """Deterministic synthetic corpus; `config` supplies the data knobs."""
-    if config.defect_max > config.image_size:
-        raise ConfigurationError(
-            f"defect_max={config.defect_max} larger than image {config.image_size}")
     rng = np.random.default_rng(seed)
-    n = config.n_train if n is None else n
     size = config.image_size
     samples = []
     for i in range(n):
@@ -126,9 +126,13 @@ def get_corpora(config):
                     raise DatasetError(f"{path} is {s.image.shape[1]}x{s.image.shape[0]} "
                                        f"pixels, config image_size is {size}")
         return corpora
-    train = gen_synthetic(config, config.data_seed, config.n_train, prefix="train")
-    test = gen_synthetic(config, config.data_seed + 1, config.n_test, prefix="test")
-    return train, test
+    return synthetic_corpora(config)
+
+
+def synthetic_corpora(config):
+    """The synthetic (train, test) split: seeds data_seed and data_seed + 1."""
+    return (gen_synthetic(config, config.data_seed, config.n_train, prefix="train"),
+            gen_synthetic(config, config.data_seed + 1, config.n_test, prefix="test"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import (NORM_FLOOR, Tensor, bilinear_upsample, concat, matmul, maximum_const,
-                     parameter, reshape, softmax, sqrt, tanh, tmean, tsum)
+                     reshape, softmax, sqrt, tanh, tmean, tsum)
 
 STATES = ("normal", "abnormal")
 
@@ -48,13 +48,12 @@ class FusionGateway:
         self.w1 = {}
         self.w2 = {}
         if dynamic:
-            rng = rng or np.random.default_rng(0)
             for state in STATES:
-                self.w1[state] = parameter(rng.normal(0.0, channels ** -0.5, (channels, hidden)),
-                                           name=f"{name}.{state}.w1")
+                self.w1[state] = Tensor(rng.normal(0.0, channels ** -0.5, (channels, hidden)),
+                                        trainable=True, name=f"{name}.{state}.w1")
                 # zero init makes the initial fusion weights uniform
-                self.w2[state] = parameter(np.zeros((hidden, n_groups)),
-                                           name=f"{name}.{state}.w2")
+                self.w2[state] = Tensor(np.zeros((hidden, n_groups)), trainable=True,
+                                        name=f"{name}.{state}.w2")
 
     def gate_logits(self, v_global, state):
         """Two-layer gating MLP: (B, C) context -> (B, N) logits."""
@@ -68,15 +67,8 @@ class FusionGateway:
     def fuse_text(self, weights, feats):
         """Convex combination of per-level text features.
 
-        weights: (B, N) rows summing to 1; feats: N tensors of shape (C,).
+        weights: (B, N) Tensor rows summing to 1; feats: N tensors of shape (C,).
         """
-        if len(feats) != self.n_groups:
-            raise ShapeError(f"expected {self.n_groups} text features, got {len(feats)}")
-        if not isinstance(weights, Tensor):
-            weights = Tensor(weights)
-        if weights.data.shape[-1] != self.n_groups:
-            raise ShapeError(f"weight rows have {weights.data.shape[-1]} entries, "
-                             f"expected {self.n_groups}")
         t_mat = concat([reshape(f, (1, self.channels)) for f in feats], axis=0)
         return matmul(weights, t_mat)
 

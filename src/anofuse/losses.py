@@ -14,7 +14,7 @@ from .tensor import (NORM_FLOOR, _as_tensor, clip, concat, log, maximum_const, r
 CLAMP_EPS = 1e-7
 
 
-def focal_loss(pred, target, gamma=2.0, alpha=0.25):
+def focal_loss(pred, target, gamma, alpha):
     """Mean focal term; predictions are clamped away from exact 0/1."""
     pred = _as_tensor(pred)
     target = np.asarray(target, dtype=np.float64)
@@ -27,7 +27,7 @@ def focal_loss(pred, target, gamma=2.0, alpha=0.25):
     return tmean(pos * target + neg * (1.0 - target))
 
 
-def dice_loss(pred, target, smooth=1.0):
+def dice_loss(pred, target, smooth):
     """1 - (2*overlap + smooth) / (mass_pred + mass_target + smooth)."""
     pred = _as_tensor(pred)
     target = np.asarray(target, dtype=np.float64)
@@ -90,5 +90,5 @@ def model_loss(out, masks, labels, cfg: RunConfig):
     """Total, segmentation, and classification losses of the model outputs
     `out` on one batch; `cfg` is the config the model was built from."""
     seg = seg_loss(out.amap.upsampled, masks, cfg)
-    cls = cls_loss(out.v_cls, out.anchor, cfg.temperature, labels)
+    cls = cls_loss(out.v_cls, out.t_feats[-1], cfg.temperature, labels)
     return total_loss(seg, cls, cfg), seg, cls

@@ -25,7 +25,7 @@ from .adapter import ConvLoraAdapter, LowRankAdapter
 from .config import RunConfig
 from .errors import ShapeError
 from .gateway import STATES, FusionGateway
-from .tensor import Tensor, gelu, layer_norm, matmul, parameter, reshape, softmax, transpose
+from .tensor import Tensor, gelu, layer_norm, matmul, reshape, softmax, transpose
 
 MLP_RATIO = 4
 TEXT_CAPACITY = 8
@@ -43,14 +43,13 @@ class TransformerBlock:
         self.heads = heads
         self.head_dim = c // heads
         std = c ** -0.5
-        self.wq = parameter(rng.normal(0.0, std, (c, c)), trainable=False, name=f"{name}.wq")
-        self.wk = parameter(rng.normal(0.0, std, (c, c)), trainable=False, name=f"{name}.wk")
-        self.wv = parameter(rng.normal(0.0, std, (c, c)), trainable=False, name=f"{name}.wv")
-        self.wo = parameter(rng.normal(0.0, std, (c, c)), trainable=False, name=f"{name}.wo")
-        self.w1 = parameter(rng.normal(0.0, std, (c, MLP_RATIO * c)), trainable=False,
-                            name=f"{name}.w1")
-        self.w2 = parameter(rng.normal(0.0, (MLP_RATIO * c) ** -0.5, (MLP_RATIO * c, c)),
-                            trainable=False, name=f"{name}.w2")
+        self.wq = Tensor(rng.normal(0.0, std, (c, c)), name=f"{name}.wq")
+        self.wk = Tensor(rng.normal(0.0, std, (c, c)), name=f"{name}.wk")
+        self.wv = Tensor(rng.normal(0.0, std, (c, c)), name=f"{name}.wv")
+        self.wo = Tensor(rng.normal(0.0, std, (c, c)), name=f"{name}.wo")
+        self.w1 = Tensor(rng.normal(0.0, std, (c, MLP_RATIO * c)), name=f"{name}.w1")
+        self.w2 = Tensor(rng.normal(0.0, (MLP_RATIO * c) ** -0.5, (MLP_RATIO * c, c)),
+                         name=f"{name}.w2")
         self.name = name
 
     def forward(self, x):
@@ -83,15 +82,11 @@ class GroupedModel:
         self.n_patches = self.grid[0] * self.grid[1]
         n = config.n_groups
 
-        self.patch_w = parameter(rng.normal(0.0, (p * p) ** -0.5, (p * p, c)),
-                                 trainable=False, name="patch_embed.w")
-        self.cls_token = parameter(rng.normal(0.0, 1.0, (c,)), trainable=False, name="cls_token")
-        self.vis_pos = parameter(rng.normal(0.0, 0.5, (1 + self.n_patches, c)),
-                                 trainable=False, name="vis_pos")
-        self.tok_embed = parameter(rng.normal(0.0, 1.0, (len(VOCAB), c)),
-                                   trainable=False, name="tok_embed")
-        self.txt_pos = parameter(rng.normal(0.0, 0.5, (TEXT_CAPACITY, c)),
-                                 trainable=False, name="txt_pos")
+        self.patch_w = Tensor(rng.normal(0.0, (p * p) ** -0.5, (p * p, c)), name="patch_embed.w")
+        self.cls_token = Tensor(rng.normal(0.0, 1.0, (c,)), name="cls_token")
+        self.vis_pos = Tensor(rng.normal(0.0, 0.5, (1 + self.n_patches, c)), name="vis_pos")
+        self.tok_embed = Tensor(rng.normal(0.0, 1.0, (len(VOCAB), c)), name="tok_embed")
+        self.txt_pos = Tensor(rng.normal(0.0, 0.5, (TEXT_CAPACITY, c)), name="txt_pos")
 
         self.vision_groups = [[TransformerBlock(c, config.heads, rng, f"vision.g{g}.b{i}")
                                for i in range(config.blocks_per_group)] for g in range(n)]
@@ -182,9 +177,9 @@ class GroupedModel:
     def text_forward(self, prefix):
         """Per-state, per-group pooled text features, from the text prefix.
 
-        Returns (t_feats, anchor): t_feats[g][s] is a (C,) tensor for group g
-        and state index s; anchor is the final group's (normal, abnormal)
-        pair, i.e. the unfused features used for classification.
+        t_feats[g][s] is a (C,) tensor for group g and state index s. The
+        final group's (normal, abnormal) pair, t_feats[-1], is the unfused
+        anchor used for classification.
         """
         t_feats = [[None] * len(STATES) for _ in range(self.config.n_groups)]
         for s, x in enumerate(prefix):
@@ -194,8 +189,7 @@ class GroupedModel:
                     x = block(x)
                 x = x + self.text_loras[g](x)
                 t_feats[g][s] = x[0, -1, :]
-        anchor = tuple(t_feats[-1])
-        return t_feats, anchor
+        return t_feats
 
     # ------------------------------------------------------------------
 
@@ -203,11 +197,9 @@ class GroupedModel:
         """Encoders from the vision prefix, gateway, per-level and aggregated
         maps. `text` is what `text_forward` returns."""
         v_list, v_cls = self.vision_forward(vision_prefix)
-        t_feats, anchor = text
-        amap = self.gateway.forward(v_list, t_feats, self.grid,
+        amap = self.gateway.forward(v_list, text, self.grid,
                                     (self.config.image_size, self.config.image_size))
-        return ModelOutputs(v_list=v_list, v_cls=v_cls, t_feats=t_feats,
-                            anchor=anchor, amap=amap)
+        return ModelOutputs(v_list=v_list, v_cls=v_cls, t_feats=text, amap=amap)
 
     def forward(self, images, text=None):
         """Full pipeline on pixels: the vision prefix, then `forward_from`.
@@ -239,11 +231,10 @@ class GroupedModel:
 
 
 class ModelOutputs:
-    def __init__(self, v_list, v_cls, t_feats, anchor, amap):
+    def __init__(self, v_list, v_cls, t_feats, amap):
         self.v_list = v_list
         self.v_cls = v_cls
         self.t_feats = t_feats
-        self.anchor = anchor
         self.amap = amap
 
 
@@ -253,7 +244,6 @@ MODEL_KEYS = ("n_groups", "blocks_per_group", "channels", "heads", "patch_size",
               "model_seed")
 
 
-def build_model(config: RunConfig, seed=None) -> GroupedModel:
-    """Deterministic model construction; same seed gives identical params."""
-    seed = config.model_seed if seed is None else seed
-    return GroupedModel(config, np.random.default_rng(seed))
+def build_model(config: RunConfig) -> GroupedModel:
+    """Deterministic model construction; same model_seed gives identical params."""
+    return GroupedModel(config, np.random.default_rng(config.model_seed))

@@ -93,8 +93,6 @@ class Tensor:
 
     def backward(self):
         """Reverse-mode sweep from this scalar; accumulates into leaf .grad."""
-        if self.data.size != 1:
-            raise ShapeError("backward() requires a scalar tensor")
         order = []
         seen = set()
         stack = [(self, False)]
@@ -125,14 +123,6 @@ class Tensor:
                     grads[id(parent)] = pg if prev is None else prev + pg
             elif node.trainable:
                 node.grad = g if node.grad is None else node.grad + g
-
-
-def parameter(data, trainable=True, name=""):
-    """Create a leaf ParamTensor (rank <= 4), trainable or frozen."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim > 4:
-        raise ShapeError(f"parameter rank {arr.ndim} > 4 for {name!r}")
-    return Tensor(arr, trainable=trainable, name=name)
 
 
 def _as_tensor(x):
@@ -213,11 +203,6 @@ def pow_const(a, c):
     c = float(c)
     return _node(a.data ** c, (a,),
                  lambda g: (g * c * a.data ** (c - 1.0),))
-
-
-def exp(a):
-    out_data = np.exp(a.data)
-    return _node(out_data, (a,), lambda g: (g * out_data,))
 
 
 def log(a):
@@ -380,21 +365,16 @@ def gelu(a):
 def reshape_seq_to_2d(x, grid):
     """(B, L, C) tokens to a (B, C, H, W) map, row-major patch order."""
     h, w = grid
-    b, l, c = x.data.shape if isinstance(x, Tensor) else np.asarray(x).shape
+    b, l, c = x.data.shape
     if l != h * w:
         raise ShapeError(f"sequence length {l} != grid {h}x{w}")
-    if isinstance(x, Tensor):
-        return transpose(reshape(x, (b, h, w, c)), (0, 3, 1, 2))
-    return np.asarray(x).reshape(b, h, w, c).transpose(0, 3, 1, 2)
+    return transpose(reshape(x, (b, h, w, c)), (0, 3, 1, 2))
 
 
 def reshape_2d_to_seq(x):
     """Exact inverse of reshape_seq_to_2d."""
-    if isinstance(x, Tensor):
-        b, c, h, w = x.data.shape
-        return reshape(transpose(x, (0, 2, 3, 1)), (b, h * w, c))
-    b, c, h, w = np.asarray(x).shape
-    return np.asarray(x).transpose(0, 2, 3, 1).reshape(b, h * w, c)
+    b, c, h, w = x.data.shape
+    return reshape(transpose(x, (0, 2, 3, 1)), (b, h * w, c))
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +482,11 @@ def bilinear_matrix(src_hw, dst_hw):
 
 
 def bilinear_upsample(m, target):
-    """Upsample a single-channel map (or (B, H, W) batch) to `target`."""
-    tensor_in = isinstance(m, Tensor)
-    data = m.data if tensor_in else np.asarray(m, dtype=np.float64)
-    batched = data.ndim == 3
-    src_hw = data.shape[-2:]
-    a = bilinear_matrix(src_hw, target)
-    if tensor_in:
-        b = data.shape[0] if batched else 1
-        flat = reshape(m, (b, src_hw[0] * src_hw[1], 1))
-        out = matmul(Tensor(a), flat)  # (b, dh*dw, 1) via broadcast
-        out = reshape(out, (b, target[0], target[1]))
-        return out if batched else reshape(out, target)
-    flat = data.reshape(-1, src_hw[0] * src_hw[1]).T
-    out_shape = (data.shape[0],) + tuple(target) if batched else tuple(target)
-    return (a @ flat).T.reshape(out_shape)
+    """Upsample a (B, H, W) batch of single-channel maps to `target`."""
+    b, sh, sw = m.data.shape
+    a = bilinear_matrix((sh, sw), target)
+    out = matmul(Tensor(a), reshape(m, (b, sh * sw, 1)))  # (b, dh*dw, 1) via broadcast
+    return reshape(out, (b, target[0], target[1]))
 
 
 # ---------------------------------------------------------------------------

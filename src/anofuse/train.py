@@ -18,32 +18,34 @@ from .tensor import Tensor, grad, no_grad
 
 EVAL_BATCH = 16
 
+# Adam's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Standard bias-corrected Adam; parameters stepped in sorted-name order."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = params
         self.names = sorted(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(params[k].data) for k in self.names}
         self.v = {k: np.zeros_like(params[k].data) for k in self.names}
 
     def step(self, grads):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name in self.names:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            self.params[name].data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            self.params[name].data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
 
 def _batch_indices(n, batch_size, rng):
@@ -61,7 +63,6 @@ def _batch_indices(n, batch_size, rng):
 class TrainResult:
     model: object
     trace: list = field(default_factory=list)  # (step, total, seg, cls)
-    train_samples: list = field(default_factory=list)
     test_samples: list = field(default_factory=list)
 
 
@@ -107,8 +108,7 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
             raise
         opt.step(grads)
         trace.append((step, float(total.data), float(seg.data), float(cls.data)))
-    return TrainResult(model=model, trace=trace,
-                       train_samples=train_samples, test_samples=test_samples)
+    return TrainResult(model=model, trace=trace, test_samples=test_samples)
 
 
 def predict(model, samples):
@@ -125,7 +125,7 @@ def predict(model, samples):
             images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
             out = model.forward(images, text)
             up = out.amap.upsampled.data
-            p_abn = cls_probs(out.v_cls, out.anchor, model.config.temperature).data[:, 1]
+            p_abn = cls_probs(out.v_cls, text[-1], model.config.temperature).data[:, 1]
             maps.append(up)
             scores.append(image_score(p_abn, up))
             for key, rows in out.amap.fusion_weights.items():

@@ -80,6 +80,28 @@ def test_non_finite_setting_is_one_error_line(tmp_path, override, capsys):
     assert f"{override[0][2:]}={override[1]} (need finite)" in err[0]
 
 
+@pytest.mark.parametrize("override", [["--heads", "0"], ["--heads", "-1"],
+                                      ["--patch_size", "0"], ["--patch_size", "-8"]],
+                         ids=lambda o: f"{o[0][2:]}={o[1]}")
+def test_non_positive_heads_or_patch_size_is_one_error_line(tmp_path, override, capsys):
+    assert main(["train", "--out", str(tmp_path)] + TINY + override) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: invalid config: {override[0][2:]}={override[1]} (need >= 1)"]
+
+
+SMALL_IMAGES = ["--image_size", "4", "--patch_size", "4", "--defect_min", "1",
+                "--defect_max", "4", "--n_train", "4", "--n_test", "4"]
+
+
+def test_images_below_the_noise_texture_field_are_one_error_line(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "noise")] + SMALL_IMAGES) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid config: image_size=4 smaller "
+                                               "than the noise texture's 8x8 field")
+    assert main(["gen", "--out", str(tmp_path / "sinusoid"), "--texture", "sinusoid"]
+                + SMALL_IMAGES) == 0
+
+
 def test_checkpoint_of_other_frozen_weights_is_one_error_line(run_dir, tmp_path, capsys):
     blob = (run_dir / "checkpoint.bin").read_bytes()
     edited = re.sub(rb"\nfrozen [0-9a-f]{64}\n", b"\nfrozen " + b"0" * 64 + b"\n", blob)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -78,6 +79,28 @@ def test_loss_settings_validated_with_the_run():
 def test_adapter_and_gateway_settings_validated(override, message):
     with pytest.raises(ConfigurationError, match=message):
         RunConfig(**override).validate()
+
+
+SMALL_IMAGES = {"image_size": 4, "patch_size": 4, "defect_min": 1, "defect_max": 4}
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"heads": 0}, "heads=0 (need >= 1)"),
+    ({"heads": -1}, "heads=-1 (need >= 1)"),
+    ({"patch_size": 0}, "patch_size=0 (need >= 1)"),
+    ({"patch_size": -8}, "patch_size=-8 (need >= 1)"),
+    ({"defect_max": 40}, "defect_max=40 exceeds image_size=32"),
+    (SMALL_IMAGES, "image_size=4 smaller than the noise texture's 8x8 field"),
+    ({**SMALL_IMAGES, "texture": "mixed"}, "noise texture's 8x8 field"),
+], ids=["zero_heads", "negative_heads", "zero_patch", "negative_patch", "oversized_defect",
+        "small_noise_images", "small_mixed_images"])
+def test_shape_and_data_settings_validated(override, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        RunConfig(**override).validate()
+
+
+def test_sinusoid_texture_allows_images_below_the_noise_field():
+    RunConfig(**SMALL_IMAGES, texture="sinusoid").validate()
 
 
 FLOAT_FIELDS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]

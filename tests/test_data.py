@@ -4,7 +4,7 @@ import pytest
 from anofuse.config import RunConfig
 from anofuse.data import (Sample, batch_arrays, export_dataset, gen_synthetic,
                           get_corpora, load_dataset, read_pgm, write_pgm)
-from anofuse.errors import ConfigurationError, DatasetError
+from anofuse.errors import DatasetError
 
 
 def data_config(**kw):
@@ -67,12 +67,6 @@ def test_images_are_quantized_to_8bit_grid():
         scaled = s.image * 255.0
         np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-9)
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
-
-
-def test_oversized_defect_rejected():
-    cfg = data_config(defect_max=40)
-    with pytest.raises(ConfigurationError):
-        gen_synthetic(cfg, seed=0, n=1)
 
 
 def test_texture_families():

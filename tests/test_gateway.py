@@ -68,7 +68,7 @@ def test_fuse_text_one_hot_selects_exactly():
     for j in range(3):
         w = np.zeros((2, 3))
         w[:, j] = 1.0
-        fused = gw.fuse_text(w, feats).data
+        fused = gw.fuse_text(Tensor(w), feats).data
         np.testing.assert_array_equal(fused[0], feats[j].data)
         np.testing.assert_array_equal(fused[1], feats[j].data)
 
@@ -77,7 +77,7 @@ def test_fuse_text_identical_features_ignore_weights():
     gw = make_gateway()
     f = Tensor(np.random.default_rng(6).normal(size=(6,)))
     feats = [f, f, f]
-    w = np.array([[0.2, 0.5, 0.3]])
+    w = Tensor(np.array([[0.2, 0.5, 0.3]]))
     fused = gw.fuse_text(w, feats).data
     np.testing.assert_allclose(fused[0], f.data, rtol=0, atol=1e-12)
 
@@ -85,15 +85,16 @@ def test_fuse_text_identical_features_ignore_weights():
 def test_fuse_text_hand_linear_combination():
     gw = FusionGateway(2, 2, 2, 0.07, dynamic=False)
     feats = [Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0]))]
-    fused = gw.fuse_text(np.array([[0.25, 0.75]]), feats).data
+    fused = gw.fuse_text(Tensor(np.array([[0.25, 0.75]])), feats).data
     np.testing.assert_array_equal(fused, [[0.25, 0.75]])
 
 
-def test_fuse_text_count_mismatch():
+def test_forward_level_count_mismatch():
     gw = make_gateway()
-    _, t_feats = rand_features(seed=7)
-    with pytest.raises(ShapeError):
-        gw.fuse_text(np.ones((1, 3)) / 3, [t_feats[0][0], t_feats[1][0]])
+    v_list, t_feats = rand_features(seed=7)
+    for n_vision, n_text in ((3, 2), (2, 3)):
+        with pytest.raises(ShapeError, match="expected 3 levels"):
+            gw.forward(v_list[:n_vision], t_feats[:n_text], (3, 3), (6, 6))
 
 
 def test_level_map_equal_descriptors_give_half():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,22 +111,20 @@ def test_vision_forward_staged_oracle_with_live_adapters():
 def test_text_forward_zero_init_matches_frozen_stack():
     cfg = small_config()
     m = build_model(cfg)
-    t_feats, anchor = m.text_forward(m.text_prefix())
+    t_feats = m.text_forward(m.text_prefix())
     for s, state in enumerate(("normal", "abnormal")):
         x = m.embed_prompt(state)
         for g in range(cfg.n_groups):
             for blk in m.text_groups[g]:
                 x = blk(x)
             np.testing.assert_array_equal(t_feats[g][s].data, x.data[0, -1, :])
-    np.testing.assert_array_equal(anchor[0].data, t_feats[-1][0].data)
-    np.testing.assert_array_equal(anchor[1].data, t_feats[-1][1].data)
 
 
 def test_identical_prompts_give_identical_state_features():
     cfg = small_config()
     m = build_model(cfg)
     m.prompt_ids["abnormal"] = m.prompt_ids["normal"]
-    t_feats, _ = m.text_forward(m.text_prefix())
+    t_feats = m.text_forward(m.text_prefix())
     for g in range(cfg.n_groups):
         np.testing.assert_array_equal(t_feats[g][0].data, t_feats[g][1].data)
 
@@ -136,7 +136,7 @@ def test_build_determinism_and_seed_sensitivity():
     assert p1.keys() == p2.keys()
     for k in p1:
         np.testing.assert_array_equal(p1[k].data, p2[k].data)
-    p3 = build_model(cfg, seed=123).named_params()
+    p3 = build_model(replace(cfg, model_seed=123)).named_params()
     assert any((p1[k].data != p3[k].data).any() for k in p1)
 
 

@@ -43,7 +43,7 @@ def test_predict_equals_forward_batch_by_batch():
             out = model.forward(images)
             end = start + len(images)
             up = out.amap.upsampled.data
-            p_abn = cls_probs(out.v_cls, out.anchor, model.config.temperature).data[:, 1]
+            p_abn = cls_probs(out.v_cls, out.t_feats[-1], model.config.temperature).data[:, 1]
             assert np.array_equal(maps[start:end], up)
             assert np.array_equal(scores[start:end], image_score(p_abn, up))
             for key, rows in out.amap.fusion_weights.items():
