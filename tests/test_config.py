@@ -90,8 +90,8 @@ SMALL_IMAGES = {"image_size": 4, "patch_size": 4, "defect_min": 1, "defect_max":
     ({"patch_size": 0}, "patch_size=0 (need >= 1)"),
     ({"patch_size": -8}, "patch_size=-8 (need >= 1)"),
     ({"defect_max": 40}, "defect_max=40 exceeds image_size=32"),
+    ({**SMALL_IMAGES, "texture": "noise"}, "image_size=4 smaller than the noise texture's 8x8"),
     (SMALL_IMAGES, "image_size=4 smaller than the noise texture's 8x8 field"),
-    ({**SMALL_IMAGES, "texture": "mixed"}, "noise texture's 8x8 field"),
 ], ids=["zero_heads", "negative_heads", "zero_patch", "negative_patch", "oversized_defect",
         "small_noise_images", "small_mixed_images"])
 def test_shape_and_data_settings_validated(override, message):
