@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .tensor import Tensor, concat, conv2d_same, matmul, reshape_2d_to_seq, reshape_seq_to_2d
 
 
 class ConvLoraAdapter:
     def __init__(self, channels, rank, branch_kernels, rng, name="conv_lora"):
-        self.channels = channels
-        self.rank = rank
         self.branch_kernels = tuple(branch_kernels)
         self.name = name
         c, r = channels, rank
@@ -44,8 +41,6 @@ class ConvLoraAdapter:
 
     def branch_forward(self, x, k, grid):
         """One branch: bottleneck, two 1/k-scaled k x k convs, up-projection."""
-        if k not in self.branch_kernels:
-            raise ConfigurationError(f"kernel {k} not in branches {self.branch_kernels}")
         z = matmul(x, self.w_down)
         z = reshape_seq_to_2d(z, grid)
         z = conv2d_same(z, self.conv_down[k]) * (1.0 / k)
@@ -75,8 +70,6 @@ class LowRankAdapter:
     """Plain rank-r residual adapter: x @ w_down @ w_up, up starts at zero."""
 
     def __init__(self, channels, rank, rng, name="lora"):
-        self.channels = channels
-        self.rank = rank
         self.name = name
         self.w_down = Tensor(rng.normal(0.0, channels ** -0.5, (channels, rank)), trainable=True,
                              name=f"{name}.w_down")

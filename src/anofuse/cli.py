@@ -17,7 +17,7 @@ import numpy as np
 
 from .ablation import ablate
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, apply_overrides, load_config
+from .config import RunConfig, apply_overrides, parse_config_text
 from .data import export_dataset, get_corpora, synthetic_corpora, write_pgm
 from .errors import (ConfigurationError, DatasetError, ShapeError, TrainingError,
                      UndefinedMetricError)
@@ -42,10 +42,11 @@ def _collect_overrides(extra):
 
 
 def _resolve_config(args, extra):
+    """The --config key=value file, or the defaults, with the command-line
+    overrides on top."""
     overrides = _collect_overrides(extra)
-    if args.config:
-        return load_config(args.config, overrides)
-    return apply_overrides(RunConfig(), overrides).validate()
+    cfg = parse_config_text(Path(args.config).read_text()) if args.config else RunConfig()
+    return apply_overrides(cfg, overrides).validate()
 
 
 def _write_lines(path, lines):
@@ -163,7 +164,7 @@ def main(argv=None):
     try:
         return args.fn(args, extra)
     except (ConfigurationError, DatasetError, ShapeError, TrainingError,
-            UndefinedMetricError, OSError) as exc:
+            UndefinedMetricError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

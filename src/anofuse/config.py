@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .data import NOISE_FIELDS
 from .errors import ConfigurationError
@@ -174,7 +173,7 @@ def apply_overrides(cfg, overrides):
     return RunConfig(**values)
 
 
-def parse_config_text(text, base=None):
+def parse_config_text(text):
     cfg_values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -184,12 +183,4 @@ def parse_config_text(text, base=None):
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = line.split("=", 1)
         cfg_values[key.strip()] = raw
-    return apply_overrides(base or RunConfig(), cfg_values)
-
-
-def load_config(path, overrides=None):
-    """Read a key=value config file, then apply overrides on top."""
-    cfg = parse_config_text(Path(path).read_text())
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg.validate()
+    return apply_overrides(RunConfig(), cfg_values)

@@ -51,7 +51,8 @@ def _texture(rng, size, family):
 
 
 def _defect_mask(rng, size, lo, hi):
-    """One axis-aligned rectangle or ellipse, fully inside the image."""
+    """One axis-aligned rectangle or ellipse, fully inside the image. With
+    lo >= 1 the ellipse holds the pixel nearest its centre, so no mask is empty."""
     dh = int(rng.integers(lo, hi + 1))
     dw = int(rng.integers(lo, hi + 1))
     top = int(rng.integers(0, size - dh + 1))
@@ -64,8 +65,6 @@ def _defect_mask(rng, size, lo, hi):
         yy, xx = np.mgrid[0:size, 0:size]
         ell = ((yy - cy) / (dh / 2.0)) ** 2 + ((xx - cx) / (dw / 2.0)) ** 2 <= 1.0
         mask[ell] = 1
-        if mask.sum() == 0:  # degenerate tiny ellipse: fall back to the box
-            mask[top:top + dh, left:left + dw] = 1
     return mask
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (NORM_FLOOR, Tensor, bilinear_upsample, concat, matmul, maximum_const,
-                     reshape, softmax, sqrt, tanh, tmean, tsum)
+from .tensor import (NORM_FLOOR, Tensor, bilinear_upsample, clip, concat, matmul, reshape,
+                     softmax, sqrt, tanh, tmean, tsum)
 
 STATES = ("normal", "abnormal")
 
@@ -37,23 +37,20 @@ class AnomalyMap:
 
 
 class FusionGateway:
-    def __init__(self, channels, n_groups, hidden, temperature, dynamic=True,
-                 rng=None, name="gateway"):
+    def __init__(self, channels, n_groups, hidden, temperature, dynamic=True, rng=None):
         self.channels = channels
         self.n_groups = n_groups
-        self.hidden = hidden
         self.temperature = temperature
         self.dynamic = dynamic
-        self.name = name
         self.w1 = {}
         self.w2 = {}
         if dynamic:
             for state in STATES:
                 self.w1[state] = Tensor(rng.normal(0.0, channels ** -0.5, (channels, hidden)),
-                                        trainable=True, name=f"{name}.{state}.w1")
+                                        trainable=True, name=f"gateway.{state}.w1")
                 # zero init makes the initial fusion weights uniform
                 self.w2[state] = Tensor(np.zeros((hidden, n_groups)), trainable=True,
-                                        name=f"{name}.{state}.w2")
+                                        name=f"gateway.{state}.w2")
 
     def gate_logits(self, v_global, state):
         """Two-layer gating MLP: (B, C) context -> (B, N) logits."""
@@ -73,21 +70,17 @@ class FusionGateway:
         return matmul(weights, t_mat)
 
     def level_map(self, v_i, t_normal, t_abnormal, grid):
-        """Patchwise two-way softmax over cosine similarities at temperature.
-
-        Descriptors may be single (C,) vectors or per-image (B, C) rows.
-        """
+        """Patchwise two-way softmax over cosine similarities at temperature;
+        the descriptors are per-image (B, C) rows."""
         b, l, c = v_i.data.shape
         if grid[0] * grid[1] != l:
             raise ShapeError(f"grid {grid} does not match {l} patches")
-        nv = sqrt(maximum_const(tsum(v_i * v_i, axis=2), NORM_FLOOR))
+        nv = sqrt(clip(tsum(v_i * v_i, axis=2), NORM_FLOOR, np.inf))
         sims = []
         for t in (t_normal, t_abnormal):
-            if t.data.ndim == 1:
-                t = reshape(t, (1, c))
             t3 = reshape(t, (t.data.shape[0], 1, c))
             dot = tsum(v_i * t3, axis=2)
-            nt = sqrt(maximum_const(tsum(t * t, axis=1), NORM_FLOOR))
+            nt = sqrt(clip(tsum(t * t, axis=1), NORM_FLOOR, np.inf))
             cos = dot / (nv * reshape(nt, (nt.data.shape[0], 1)))
             sims.append(reshape(cos, (b, l, 1)))
         probs = softmax(concat(sims, axis=2) * (1.0 / self.temperature), axis=-1)

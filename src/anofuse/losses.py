@@ -8,19 +8,14 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigurationError
-from .tensor import (NORM_FLOOR, _as_tensor, clip, concat, log, maximum_const, reshape,
-                     softmax, sqrt, tmean, tsum)
+from .tensor import NORM_FLOOR, clip, concat, log, reshape, softmax, sqrt, tmean, tsum
 
 CLAMP_EPS = 1e-7
 
 
 def focal_loss(pred, target, gamma, alpha):
-    """Mean focal term; predictions are clamped away from exact 0/1."""
-    pred = _as_tensor(pred)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.data.shape != target.shape:
-        raise ConfigurationError(
-            f"pred shape {pred.data.shape} != target shape {target.shape}")
+    """Mean focal term of a pred Tensor against a float64 target array of its
+    shape; predictions are clamped away from exact 0/1."""
     p = clip(pred, CLAMP_EPS, 1.0 - CLAMP_EPS)
     pos = ((1.0 - p) ** gamma) * log(p) * (-alpha)
     neg = (p ** gamma) * log(1.0 - p) * (alpha - 1.0)
@@ -28,19 +23,20 @@ def focal_loss(pred, target, gamma, alpha):
 
 
 def dice_loss(pred, target, smooth):
-    """1 - (2*overlap + smooth) / (mass_pred + mass_target + smooth)."""
-    pred = _as_tensor(pred)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.data.shape != target.shape:
-        raise ConfigurationError(
-            f"pred shape {pred.data.shape} != target shape {target.shape}")
+    """1 - (2*overlap + smooth) / (mass_pred + mass_target + smooth), for a
+    pred Tensor and a float64 target array of its shape."""
     inter = tsum(pred * target)
     denom = tsum(pred) + float(target.sum())
     return 1.0 - (2.0 * inter + smooth) / (denom + smooth)
 
 
 def seg_loss(pred, target, cfg: RunConfig):
-    """Weighted focal + dice on the (upsampled) aggregated map."""
+    """Weighted focal + dice of the (upsampled) aggregated map `pred`, a
+    Tensor, against the masks `target`."""
+    target = np.asarray(target, dtype=np.float64)
+    if pred.data.shape != target.shape:
+        raise ConfigurationError(
+            f"pred shape {pred.data.shape} != target shape {target.shape}")
     return (focal_loss(pred, target, cfg.focal_gamma, cfg.focal_alpha) * cfg.lambda_focal
             + dice_loss(pred, target, cfg.dice_smooth) * cfg.lambda_dice)
 
@@ -50,8 +46,8 @@ def _cosine_rows(v, t):
     b, c = v.data.shape
     t2 = reshape(t, (1, c))
     dot = tsum(v * t2, axis=1, keepdims=True)
-    nv = sqrt(maximum_const(tsum(v * v, axis=1, keepdims=True), NORM_FLOOR))
-    nt = sqrt(maximum_const(tsum(t * t), NORM_FLOOR))
+    nv = sqrt(clip(tsum(v * v, axis=1, keepdims=True), NORM_FLOOR, np.inf))
+    nt = sqrt(clip(tsum(t * t), NORM_FLOOR, np.inf))
     return dot / (nv * nt)
 
 
@@ -79,10 +75,9 @@ def total_loss(seg, cls, cfg: RunConfig):
 
 
 def image_score(p_abnormal, upsampled_map):
-    """Mean of the classification probability and the map's pixel maximum."""
-    p_abnormal = np.asarray(p_abnormal, dtype=np.float64)
-    m = np.asarray(upsampled_map, dtype=np.float64)
-    peak = m.reshape(m.shape[0], -1).max(axis=1) if m.ndim == 3 else m.max()
+    """Mean of the (B,) classification probabilities and the pixel maximum
+    of each (B, H, W) map."""
+    peak = upsampled_map.reshape(upsampled_map.shape[0], -1).max(axis=1)
     return 0.5 * (p_abnormal + peak)
 
 

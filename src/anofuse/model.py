@@ -8,12 +8,12 @@ adapters, text residuals, and the fusion gateway train; backbone weights
 are drawn once from the model seed and never receive gradients.
 
 A subgraph with no trainable input is a constant. The frozen prefix is
-such a subgraph: patchify plus the group-0 vision blocks for each image,
-and the group-0 text blocks for each prompt. There is one forward path:
-`forward_from` starts from the prefix, and `forward(images)` computes the
-prefix and calls it. Callers that see the same images or prompts again
-compute the prefix once and pass it in; the model keeps no state between
-calls.
+such a subgraph: patchify plus the group-0 vision blocks for each image
+(`vision_prefix`), and the group-0 text blocks for each prompt
+(`text_prefix`). The one forward path, `forward(vision_prefix, text)`,
+starts from the vision prefix and takes what `text_forward` computes from
+the text prefix. Callers that see the same images or prompts again compute
+the prefix once and pass it in; the model keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -193,20 +193,13 @@ class GroupedModel:
 
     # ------------------------------------------------------------------
 
-    def forward_from(self, vision_prefix, text):
+    def forward(self, vision_prefix, text):
         """Encoders from the vision prefix, gateway, per-level and aggregated
         maps. `text` is what `text_forward` returns."""
         v_list, v_cls = self.vision_forward(vision_prefix)
         amap = self.gateway.forward(v_list, text, self.grid,
                                     (self.config.image_size, self.config.image_size))
         return ModelOutputs(v_list=v_list, v_cls=v_cls, t_feats=text, amap=amap)
-
-    def forward(self, images, text=None):
-        """Full pipeline on pixels: the vision prefix, then `forward_from`.
-        `text` is what `text_forward` returns, computed here when None."""
-        if text is None:
-            text = self.text_forward(self.text_prefix())
-        return self.forward_from(self.vision_prefix(images), text)
 
     def named_params(self):
         out = {}

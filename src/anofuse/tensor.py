@@ -58,12 +58,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
     def __rsub__(self, other):
         return sub(_as_tensor(other), self)
 
@@ -76,17 +70,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
 
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
     def __neg__(self):
         return mul(self, _as_tensor(-1.0))
 
     def __pow__(self, c):
         return pow_const(self, c)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def __getitem__(self, idx):
         return slice_tensor(self, idx)
@@ -219,13 +207,6 @@ def sqrt(a):
     return _node(out_data, (a,), lambda g: (g / (2.0 * out_data),))
 
 
-def maximum_const(a, c):
-    """Elementwise max against a scalar floor; gradient passes where a > c."""
-    c = float(c)
-    return _node(np.maximum(a.data, c), (a,),
-                 lambda g: (g * (a.data > c),))
-
-
 def clip(a, lo, hi):
     """Clamp into [lo, hi]; gradient is zero where the clamp binds."""
     lo, hi = float(lo), float(hi)
@@ -237,9 +218,7 @@ def clip(a, lo, hi):
 
 def tsum(a, axis=None, keepdims=False):
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
@@ -251,9 +230,7 @@ def tmean(a, axis=None, keepdims=False):
         n = a.data.shape[axis]
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / n, a.data.shape).copy(),)
     return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
 

@@ -100,7 +100,7 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
         _, masks, labels = batch_arrays([train_samples[i] for i in idx])
         prefix = Tensor(np.stack([vision_rows[i] for i in idx]))
         try:
-            out = model.forward_from(prefix, model.text_forward(text_prefix))
+            out = model.forward(prefix, model.text_forward(text_prefix))
             total, seg, cls = model_loss(out, masks, labels, config)
             grads = grad(total, model.trainable_params())
         except TrainingError as exc:
@@ -123,7 +123,7 @@ def predict(model, samples):
         text = model.text_forward(model.text_prefix())
         for start in range(0, len(samples), EVAL_BATCH):
             images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
-            out = model.forward(images, text)
+            out = model.forward(model.vision_prefix(images), text)
             up = out.amap.upsampled.data
             p_abn = cls_probs(out.v_cls, text[-1], model.config.temperature).data[:, 1]
             maps.append(up)

@@ -116,7 +116,7 @@ def full_model_gradient_suite(config) -> GradCheckResult:
     prefix, text_prefix = model.vision_prefix(images), model.text_prefix()
 
     def loss():
-        out = model.forward_from(prefix, model.text_forward(text_prefix))
+        out = model.forward(prefix, model.text_forward(text_prefix))
         return model_loss(out, masks, labels, config)[0]
     return check_gradients(loss, model.trainable_params())
 
@@ -296,11 +296,11 @@ def run_selftest():
     report("gateway matches straight-line composition",
            np.abs(amap.aggregated.data - np.mean(maps, axis=0)).max() < 1e-12)
 
-    pred = rng.uniform(0.02, 0.98, (6, 6))
+    pred = Tensor(rng.uniform(0.02, 0.98, (6, 6)))
     target = (rng.uniform(size=(6, 6)) > 0.5).astype(float)
     f0 = float(focal_loss(pred, target, gamma=0.0, alpha=0.5).data)
     report("focal(gamma=0, alpha=1/2) reduces to BCE/2",
-           abs(f0 - half_bce(pred, target)) < 1e-12)
+           abs(f0 - half_bce(pred.data, target)) < 1e-12)
 
     cfg = RunConfig()
     seg = float(seg_loss(pred, target, cfg).data)

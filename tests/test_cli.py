@@ -89,6 +89,15 @@ def test_non_positive_heads_or_patch_size_is_one_error_line(tmp_path, override, 
     assert err == [f"error: invalid config: {override[0][2:]}={override[1]} (need >= 1)"]
 
 
+def test_size_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    # (16, 10**15) float64 weights exceed any address space, so the
+    # allocation fails at once without touching memory
+    assert main(["train", "--out", str(tmp_path)] + TINY
+                + ["--gate_hidden", "1000000000000000"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+
+
 SMALL_IMAGES = ["--image_size", "4", "--patch_size", "4", "--defect_min", "1",
                 "--defect_max", "4", "--n_train", "4", "--n_test", "4"]
 

@@ -4,17 +4,21 @@ from dataclasses import fields
 
 import pytest
 
-from anofuse.config import VALID_KEYS, RunConfig, apply_overrides, load_config, parse_config_text
+from anofuse.cli import main
+from anofuse.config import VALID_KEYS, RunConfig, apply_overrides, parse_config_text
 from anofuse.errors import ConfigurationError
 
 
-def test_comments_blank_lines_and_types(tmp_path):
+def test_comments_blank_lines_and_types(tmp_path, capsys):
     cfg = parse_config_text("# a run\n\nn_groups = 2   # two groups\n"
                             "temperature=0.5\ntexture = noise\n")
     assert (cfg.n_groups, cfg.temperature, cfg.texture) == (2, 0.5, "noise")
+    # a --config file, then the command-line overrides on top
     path = tmp_path / "run.cfg"
-    path.write_text("channels = 32\nheads = 4\n")
-    assert load_config(path, {"steps": "3"}) == RunConfig(channels=32, steps=3)
+    path.write_text("image_size = 16\ndefect_max = 8\nn_train = 5\nn_test = 2\n")
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "data"),
+                 "--n_test", "3"]) == 0
+    assert "wrote 5 train / 3 test" in capsys.readouterr().out
 
 
 def test_echo_lines_round_trip():

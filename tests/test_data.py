@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anofuse.config import RunConfig
-from anofuse.data import (Sample, batch_arrays, export_dataset, gen_synthetic,
+from anofuse.data import (Sample, _defect_mask, batch_arrays, export_dataset, gen_synthetic,
                           get_corpora, load_dataset, read_pgm, write_pgm)
 from anofuse.errors import DatasetError
 
@@ -49,6 +49,18 @@ def test_defect_bounding_box_census():
         dw = cols[-1] - cols[0] + 1
         assert 1 <= dh <= 9 and 1 <= dw <= 9
         assert s.mask.sum() >= 0.4 * dh * dw  # solid shape, not scattered dust
+
+
+def test_defect_mask_is_never_empty():
+    size = RunConfig().image_size
+    for d in range(1, size + 1):
+        sums = {int(_defect_mask(np.random.default_rng(seed), size, d, d).sum())
+                for seed in range(16)}
+        assert min(sums) > 0, d
+        # up to d = 3 the ellipse fills its box; from d = 4 on it has fewer
+        # pixels, so both sums show that both shapes were drawn
+        if d >= 4:
+            assert d * d in sums and min(sums) < d * d, d
 
 
 def test_defect_is_statistically_separable():

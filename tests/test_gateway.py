@@ -183,7 +183,7 @@ def test_single_level_degenerates_to_plain_map():
     with no_grad():
         dyn = gw.forward(v_list, t_feats, (2, 2), (4, 4))
         sta = static_gw.forward(v_list, t_feats, (2, 2), (4, 4))
-        plain = gw.level_map(v_list[0], t_feats[0][0], t_feats[0][1], (2, 2))
+        plain = gw.level_map(v_list[0], *(Tensor(t.data[None]) for t in t_feats[0]), (2, 2))
     np.testing.assert_array_equal(dyn.per_level[0].data, sta.per_level[0].data)
     np.testing.assert_array_equal(dyn.per_level[0].data, plain.data)
 

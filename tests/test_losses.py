@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from anofuse.config import RunConfig
+from anofuse.errors import ConfigurationError
 from anofuse.losses import (cls_loss, cls_probs, dice_loss, focal_loss, image_score,
                             seg_loss, total_loss)
 from anofuse.tensor import Tensor
@@ -11,7 +13,7 @@ from anofuse.verify import half_bce
 
 def test_focal_near_perfect_prediction():
     target = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pred = np.where(target > 0, 0.9999, 0.0001)
+    pred = Tensor(np.where(target > 0, 0.9999, 0.0001))
     assert float(focal_loss(pred, target, 2.0, 0.25).data) < 1e-3
 
 
@@ -19,17 +21,17 @@ def test_focal_gamma0_alpha_half_is_half_bce():
     rng = np.random.default_rng(0)
     pred = rng.uniform(0.01, 0.99, (5, 7))
     target = (rng.uniform(size=(5, 7)) > 0.5).astype(float)
-    got = float(focal_loss(pred, target, gamma=0.0, alpha=0.5).data)
+    got = float(focal_loss(Tensor(pred), target, gamma=0.0, alpha=0.5).data)
     assert abs(got - half_bce(pred, target)) < 1e-12
 
 
 def test_focal_single_pixel_hand_value():
-    got = float(focal_loss(np.array([[0.5]]), np.array([[1.0]]), 2.0, 0.25).data)
+    got = float(focal_loss(Tensor(np.array([[0.5]])), np.array([[1.0]]), 2.0, 0.25).data)
     assert abs(got - 0.25 * 0.25 * math.log(2.0)) < 1e-15
 
 
 def test_focal_clamps_exact_zero_one():
-    pred = np.array([[0.0, 1.0]])
+    pred = Tensor(np.array([[0.0, 1.0]]))
     target = np.array([[1.0, 0.0]])
     val = float(focal_loss(pred, target, 2.0, 0.25).data)
     assert np.isfinite(val) and val > 0
@@ -37,18 +39,18 @@ def test_focal_clamps_exact_zero_one():
 
 def test_dice_perfect_overlap_is_zero():
     target = (np.random.default_rng(1).uniform(size=(6, 6)) > 0.6).astype(float)
-    assert float(dice_loss(target, target, smooth=1.0).data) == 0.0
+    assert float(dice_loss(Tensor(target), target, smooth=1.0).data) == 0.0
 
 
 def test_dice_disjoint_approaches_one():
-    pred = np.zeros((4, 4))
+    pred = Tensor(np.zeros((4, 4)))
     target = np.ones((4, 4))
     assert abs(float(dice_loss(pred, target, smooth=1e-12).data) - 1.0) < 1e-9
 
 
 def test_dice_hand_value():
     s = 0.5
-    got = float(dice_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0]), smooth=s).data)
+    got = float(dice_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, 0.0]), smooth=s).data)
     want = 1.0 - (2 * 0.5 + s) / (1.0 + 1.0 + s)
     assert abs(got - want) < 1e-15
 
@@ -56,7 +58,7 @@ def test_dice_hand_value():
 def test_dice_range():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        pred = rng.uniform(0, 1, (5, 5))
+        pred = Tensor(rng.uniform(0, 1, (5, 5)))
         target = (rng.uniform(size=(5, 5)) > 0.5).astype(float)
         v = float(dice_loss(pred, target, 1.0).data)
         assert 0.0 <= v <= 1.0
@@ -64,7 +66,7 @@ def test_dice_range():
 
 def test_seg_loss_switches_and_additivity():
     rng = np.random.default_rng(3)
-    pred = rng.uniform(0.05, 0.95, (4, 4))
+    pred = Tensor(rng.uniform(0.05, 0.95, (4, 4)))
     target = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
     dice_only = RunConfig(lambda_focal=0.0, lambda_dice=2.0)
     focal_only = RunConfig(lambda_focal=1.5, lambda_dice=0.0)
@@ -76,6 +78,8 @@ def test_seg_loss_switches_and_additivity():
     want = (float(focal_loss(pred, target, 2.0, 0.25).data)
             + float(dice_loss(pred, target, 1.0).data))
     assert abs(float(seg_loss(pred, target, both).data) - want) < 1e-12
+    with pytest.raises(ConfigurationError, match="pred shape"):
+        seg_loss(pred, target[:2], both)
 
 
 def test_cls_equidistant_gives_ln2():

@@ -173,7 +173,8 @@ def test_group_counts_build_and_run(n):
     cfg = small_config(n_groups=n)
     m = build_model(cfg)
     with no_grad():
-        out = m.forward(rand_images(cfg, 1, seed=10))
+        out = m.forward(m.vision_prefix(rand_images(cfg, 1, seed=10)),
+                        m.text_forward(m.text_prefix()))
     assert len(out.amap.per_level) == n
 
 
@@ -183,8 +184,9 @@ def test_batch_permutation_equivariance():
     images = rand_images(cfg, 4, seed=11)
     perm = np.array([2, 0, 3, 1])
     with no_grad():
-        out = m.forward(images)
-        out_p = m.forward(images[perm])
+        text = m.text_forward(m.text_prefix())
+        out = m.forward(m.vision_prefix(images), text)
+        out_p = m.forward(m.vision_prefix(images[perm]), text)
     np.testing.assert_array_equal(out.amap.aggregated.data[perm], out_p.amap.aggregated.data)
     np.testing.assert_array_equal(out.v_cls.data[perm], out_p.v_cls.data)
 

@@ -20,14 +20,14 @@ def live_model():
 
 
 @pytest.mark.parametrize("b", [1, 7, 32])
-def test_forward_from_gathered_prefix_rows_equals_forward(b):
+def test_gathered_prefix_rows_equal_forward(b):
     model, samples = live_model()
     rows = vision_prefix_rows(model, samples, model.config.batch_size)
     idx = np.random.default_rng(b).permutation(len(samples))[:b]
     images, _, _ = batch_arrays([samples[i] for i in idx])
-    want = model.forward(images)
-    got = model.forward_from(Tensor(np.stack([rows[i] for i in idx])),
-                             model.text_forward(model.text_prefix()))
+    text = model.text_forward(model.text_prefix())
+    want = model.forward(model.vision_prefix(images), text)
+    got = model.forward(Tensor(np.stack([rows[i] for i in idx])), text)
     assert np.array_equal(got.amap.upsampled.data, want.amap.upsampled.data)
     assert np.array_equal(got.v_cls.data, want.v_cls.data)
     for g, v in enumerate(want.v_list):
@@ -38,9 +38,10 @@ def test_predict_equals_forward_batch_by_batch():
     model, samples = live_model()
     maps, scores, weights = predict(model, samples)
     with no_grad():
+        text = model.text_forward(model.text_prefix())
         for start in range(0, len(samples), EVAL_BATCH):
             images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
-            out = model.forward(images)
+            out = model.forward(model.vision_prefix(images), text)
             end = start + len(images)
             up = out.amap.upsampled.data
             p_abn = cls_probs(out.v_cls, out.t_feats[-1], model.config.temperature).data[:, 1]
