@@ -19,7 +19,7 @@ def frozen_digest(model):
     """sha256 of the frozen tensors' little-endian float64 bytes, by sorted name."""
     h = hashlib.sha256()
     for name, t in sorted(model.named_params().items()):
-        if not t.trainable:
+        if not t.requires_grad:
             h.update(np.ascontiguousarray(t.data, dtype="<f8"))
     return h.hexdigest()
 

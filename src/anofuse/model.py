@@ -74,7 +74,6 @@ class TransformerBlock:
 
 class GroupedModel:
     def __init__(self, config: RunConfig, rng):
-        config.validate()
         self.config = config
         c = config.channels
         p = config.patch_size
@@ -217,7 +216,7 @@ class GroupedModel:
         return out
 
     def trainable_params(self):
-        return {k: v for k, v in self.named_params().items() if v.trainable}
+        return {k: v for k, v in self.named_params().items() if v.requires_grad}
 
     def trainable_count(self):
         return sum(v.data.size for v in self.trainable_params().values())
@@ -238,5 +237,8 @@ MODEL_KEYS = ("n_groups", "blocks_per_group", "channels", "heads", "patch_size",
 
 
 def build_model(config: RunConfig) -> GroupedModel:
-    """Deterministic model construction; same model_seed gives identical params."""
+    """Deterministic model construction; same model_seed gives identical params.
+
+    `config` is trusted: `RunConfig.validate` runs where a config enters
+    from outside (the CLI and `load_checkpoint`)."""
     return GroupedModel(config, np.random.default_rng(config.model_seed))

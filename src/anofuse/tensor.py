@@ -34,24 +34,22 @@ class no_grad:
 class Tensor:
     """A float64 array plus optional autodiff bookkeeping.
 
-    Leaf tensors created with ``trainable=True`` accumulate gradients in
-    ``.grad`` after a backward pass. Interior nodes keep parent links and
-    a vector-Jacobian-product closure.
+    A leaf created with ``trainable=True`` requires a gradient; `grad()`
+    returns one for it. Interior nodes keep parent links and a
+    vector-Jacobian-product closure.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "trainable", "name", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp")
 
     def __init__(self, data, trainable=False, name=""):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.trainable = bool(trainable)
         self.requires_grad = bool(trainable)
         self.name = name
         self._parents = ()
         self._vjp = None
 
     def __repr__(self):
-        flag = " trainable" if self.trainable else ""
+        flag = " requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag} name={self.name!r})"
 
     # operator sugar; scalars and ndarrays are promoted to constant tensors
@@ -79,39 +77,6 @@ class Tensor:
     def __getitem__(self, idx):
         return slice_tensor(self, idx)
 
-    def backward(self):
-        """Reverse-mode sweep from this scalar; accumulates into leaf .grad."""
-        order = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._vjp is not None:
-                for parent, pg in zip(node._parents, node._vjp(g)):
-                    if pg is None:
-                        continue
-                    # out of place: a VJP may hand one array (or views of it)
-                    # to several parents, and a leaf may already hold it
-                    prev = grads.get(id(parent))
-                    grads[id(parent)] = pg if prev is None else prev + pg
-            elif node.trainable:
-                node.grad = g if node.grad is None else node.grad + g
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -121,8 +86,6 @@ def _node(data, parents, vjp):
     # fast constructor: interior results are always float64 ndarrays already
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out.trainable = False
     out.name = ""
     if _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -471,9 +434,10 @@ def bilinear_upsample(m, target):
 
 
 def grad(loss, params):
-    """Gradients of a scalar loss for every trainable tensor in `params`.
+    """Gradients of a scalar loss for every tensor in `params` (a name ->
+    Tensor map) that requires one; a frozen entry gets no entry.
 
-    `params` maps names to Tensors. Frozen entries get no gradient. Raises
+    One reverse sweep from `loss` in topological order. Raises
     TrainingError (with a data snapshot of `params`) on a non-finite loss.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
@@ -481,12 +445,40 @@ def grad(loss, params):
     if not np.isfinite(loss.data):
         snapshot = {k: v.data.copy() for k, v in params.items()}
         raise TrainingError(f"non-finite loss {float(loss.data)}", snapshot=snapshot)
-    for p in params.values():
-        p.grad = None
-    loss.backward()
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    # every consumer of a node comes before it in the reverse walk, so a
+    # node's gradient is complete when its turn comes; a leaf's stays here
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        if node._vjp is None:
+            continue
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is None:
+                continue
+            # out of place: a VJP may hand one array (or views of it)
+            # to several parents, and a leaf may already hold it
+            prev = grads.get(id(parent))
+            grads[id(parent)] = pg if prev is None else prev + pg
     out = {}
     for name, p in params.items():
-        if p.trainable:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            out[name] = g
+        if p.requires_grad:
+            g = grads.get(id(p))
+            out[name] = g if g is not None else np.zeros_like(p.data)
     return out

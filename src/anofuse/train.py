@@ -86,7 +86,6 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
     The frozen prefix of every training image and of the prompts is
     computed once per run; each step gathers its batch's rows.
     """
-    config.validate()
     model = build_model(config)
     train_samples, test_samples = corpora if corpora is not None else get_corpora(config)
     opt = Adam(model.trainable_params(), config.lr)

@@ -40,8 +40,8 @@ def test_only_trainable_tensors_are_stored(saved):
     blob = path.read_bytes()
     assert blob.startswith(b"anofuse-ckpt v2\nstep 7\nconfig ")
     for name, p in model.named_params().items():
-        stored = (f"{name} ".encode() if p.trainable else name.encode()) in blob
-        assert stored == p.trainable, name
+        stored = (f"{name} ".encode() if p.requires_grad else name.encode()) in blob
+        assert stored == p.requires_grad, name
     trainable_bytes = 8 * sum(p.data.size for p in model.trainable_params().values())
     assert len(blob) < trainable_bytes + 2048
 
