@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (NORM_FLOOR, Tensor, bilinear_upsample, clip, concat, matmul, reshape,
-                     softmax, sqrt, tanh, tmean, tsum)
+from .tensor import (Tensor, bilinear_upsample, concat, cosine, matmul, reshape, softmax, tanh,
+                     tmean)
 
 STATES = ("normal", "abnormal")
 
@@ -75,15 +75,10 @@ class FusionGateway:
         b, l, c = v_i.data.shape
         if grid[0] * grid[1] != l:
             raise ShapeError(f"grid {grid} does not match {l} patches")
-        nv = sqrt(clip(tsum(v_i * v_i, axis=2), NORM_FLOOR, np.inf))
-        sims = []
-        for t in (t_normal, t_abnormal):
-            t3 = reshape(t, (t.data.shape[0], 1, c))
-            dot = tsum(v_i * t3, axis=2)
-            nt = sqrt(clip(tsum(t * t, axis=1), NORM_FLOOR, np.inf))
-            cos = dot / (nv * reshape(nt, (nt.data.shape[0], 1)))
-            sims.append(reshape(cos, (b, l, 1)))
-        probs = softmax(concat(sims, axis=2) * (1.0 / self.temperature), axis=-1)
+        t = concat([reshape(d, (d.data.shape[0], 1, 1, c)) for d in (t_normal, t_abnormal)],
+                   axis=2)
+        sims = cosine(reshape(v_i, (b, l, 1, c)), t)  # (B, L, 2)
+        probs = softmax(sims * (1.0 / self.temperature), axis=-1)
         return reshape(probs[:, :, 1], (b, grid[0], grid[1]))
 
     def forward(self, v_list, t_feats, grid, pixel_hw):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigurationError
-from .tensor import NORM_FLOOR, clip, concat, log, reshape, softmax, sqrt, tmean, tsum
+from .tensor import clip, concat, cosine, log, reshape, softmax, tmean, tsum
 
 CLAMP_EPS = 1e-7
 
@@ -41,20 +41,12 @@ def seg_loss(pred, target, cfg: RunConfig):
             + dice_loss(pred, target, cfg.dice_smooth) * cfg.lambda_dice)
 
 
-def _cosine_rows(v, t):
-    """Cosine similarity between (B, C) rows and a (C,) vector -> (B, 1)."""
-    b, c = v.data.shape
-    t2 = reshape(t, (1, c))
-    dot = tsum(v * t2, axis=1, keepdims=True)
-    nv = sqrt(clip(tsum(v * v, axis=1, keepdims=True), NORM_FLOOR, np.inf))
-    nt = sqrt(clip(tsum(t * t), NORM_FLOOR, np.inf))
-    return dot / (nv * nt)
-
-
 def cls_probs(v_cls, anchor, temperature):
-    """Two-way softmax over cosine similarities to the anchor pair: (B, 2)."""
-    t_normal, t_abnormal = anchor
-    sims = concat([_cosine_rows(v_cls, t_normal), _cosine_rows(v_cls, t_abnormal)], axis=1)
+    """Two-way softmax over cosine similarities of the (B, C) rows to the
+    anchor pair: (B, 2)."""
+    b, c = v_cls.data.shape
+    anchors = concat([reshape(t, (1, c)) for t in anchor], axis=0)
+    sims = cosine(reshape(v_cls, (b, 1, c)), anchors)
     return softmax(sims * (1.0 / temperature), axis=-1)
 
 

@@ -321,11 +321,26 @@ def reshape_2d_to_seq(x):
 # convolution
 
 
+def _im2col(xd, k):
+    """The zero-padded k x k neighbourhoods of a (B, C, H, W) array as
+    contiguous (B, C*k*k, H*W) columns: row (c, i, j) at pixel (h, w) holds
+    x[c, h + i - p, w + j - p], p = (k - 1) // 2."""
+    b, c, h, w = xd.shape
+    p = (k - 1) // 2
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    xp[:, :, p:p + h, p:p + w] = xd
+    # windows view (B, C, k, k, H, W); index [.., i, j, h, w] = xp[.., i+h, j+w]
+    return np.lib.stride_tricks.sliding_window_view(xp, (h, w), axis=(2, 3)).reshape(
+        b, c * k * k, h * w)
+
+
 def conv2d_same(x, w):
     """k x k convolution with zero 'same' padding, no bias, odd k only.
 
-    x: (B, Cin, H, W), w: (Cout, Cin, k, k). Implemented as im2col + matmul;
-    the backward pass scatters column gradients back (col2im).
+    x: (B, Cin, H, W), w: (Cout, Cin, k, k). The forward pass is im2col +
+    matmul. The input gradient is the same kernel applied to the output
+    gradient with w flipped in space and its channel axes swapped, which
+    for odd k and 'same' padding is the transposed convolution.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
@@ -339,41 +354,17 @@ def conv2d_same(x, w):
         raise ShapeError(f"channel mismatch: input {xd.shape[1]}, kernel {cin}")
 
     b, _, h, wdt = xd.shape
-    if k == 1:
-        # pointwise conv is a plain channel mix
-        y = np.matmul(wd.reshape(cout, cin), xd.reshape(b, cin, h * wdt)).reshape(b, cout, h, wdt)
-
-        def vjp1(g):
-            gm = g.reshape(b, cout, h * wdt)
-            dx = dw = None
-            if w.requires_grad:
-                dw = np.einsum("bop,bkp->ok", gm, xd.reshape(b, cin, h * wdt)).reshape(wd.shape)
-            if x.requires_grad:
-                dx = np.matmul(wd.reshape(cout, cin).T, gm).reshape(xd.shape)
-            return (dx, dw)
-        return _node(y, (x, w), vjp1)
-
-    p = (k - 1) // 2
-    xp = np.zeros((b, cin, h + 2 * p, wdt + 2 * p), dtype=np.float64)
-    xp[:, :, p:p + h, p:p + wdt] = xd
-    # windows view (B, Cin, k, k, H, W); index [.., i, j, h, w] = xp[.., i+h, j+w]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (h, wdt), axis=(2, 3))
-    cols = win.reshape(b, cin * k * k, h * wdt).transpose(0, 2, 1)
-    wflat = wd.reshape(cout, cin * k * k)
-    y = np.matmul(cols, wflat.T).transpose(0, 2, 1).reshape(b, cout, h, wdt)
+    cols = _im2col(xd, k)
+    y = np.matmul(wd.reshape(cout, cin * k * k), cols).reshape(b, cout, h, wdt)
 
     def vjp(g):
-        gm = g.reshape(b, cout, h * wdt).transpose(0, 2, 1)           # (B, HW, Cout)
-        dw = np.einsum("bpo,bpk->ok", gm, cols).reshape(wd.shape) if w.requires_grad else None
-        if not x.requires_grad:
-            return (None, dw)
-        dcols = np.matmul(gm, wflat)                                  # (B, HW, Cin*k*k)
-        dcols = dcols.transpose(0, 2, 1).reshape(b, cin, k, k, h, wdt)
-        dxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i:i + h, j:j + wdt] += dcols[:, :, i, j]
-        dx = dxp[:, :, p:p + h, p:p + wdt] if p else dxp
+        dx = dw = None
+        if w.requires_grad:
+            gm = g.reshape(b, cout, h * wdt)
+            dw = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(wd.shape)
+        if x.requires_grad:
+            wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+            dx = np.matmul(wt, _im2col(g, k)).reshape(xd.shape)
         return (dx, dw)
     return _node(y, (x, w), vjp)
 
@@ -382,9 +373,17 @@ def conv2d_same(x, w):
 # similarity, upsampling
 
 
-# floor applied to norms inside differentiable cosine paths; far below any
-# realistic feature norm, so it never perturbs gradients
+# floor applied to squared norms inside `cosine`; far below any realistic
+# feature norm, so it never perturbs gradients
 NORM_FLOOR = 1e-30
+
+
+def cosine(u, v):
+    """Cosine similarity along the last axis of two broadcastable tensors;
+    the result has their broadcast shape without that axis."""
+    nu = sqrt(clip(tsum(u * u, axis=-1), NORM_FLOOR, np.inf))
+    nv = sqrt(clip(tsum(v * v, axis=-1), NORM_FLOOR, np.inf))
+    return tsum(u * v, axis=-1) / (nu * nv)
 
 
 _BILINEAR_CACHE = {}

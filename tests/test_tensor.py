@@ -3,7 +3,6 @@ import pytest
 
 from anofuse import tensor as T
 from anofuse.errors import ConfigurationError, ShapeError, TrainingError
-from anofuse.losses import _cosine_rows
 from anofuse.verify import check_gradients, conv2d_loops
 
 
@@ -77,11 +76,28 @@ def test_conv_ones_kernel_border_arithmetic():
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv_matches_loop_oracle(k):
     rng = np.random.default_rng(3 + k)
-    x = rng.normal(size=(2, 2, 5, 5))
-    w = rng.normal(size=(3, 2, k, k))
-    got = T.conv2d_same(T.Tensor(x), T.Tensor(w)).data
-    want = conv2d_loops(x, w)
-    assert np.abs(got - want).max() < 1e-12
+    for hw in [(5, 5), (3, 5)]:
+        x = rng.normal(size=(2, 2, *hw))
+        w = rng.normal(size=(3, 2, k, k))
+        got = T.conv2d_same(T.Tensor(x), T.Tensor(w)).data
+        want = conv2d_loops(x, w)
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_gradients_are_adjoint_to_the_loop_oracle(k):
+    # conv is bilinear, so <g, conv(x, w)> = <dx, x> = <dw, w>, and the same
+    # holds for independent probes x2, w2 against the nested-loop forward
+    rng = np.random.default_rng(30 + k)
+    x, x2 = rng.normal(size=(2, 2, 2, 3, 5))
+    w, w2 = rng.normal(size=(2, 4, 2, k, k))
+    g = rng.normal(size=(2, 4, 3, 5))
+    dx, dw = T.conv2d_same(T.Tensor(x, trainable=True), T.Tensor(w, trainable=True))._vjp(g)
+    for a, b in [(np.vdot(g, conv2d_loops(x, w)), np.vdot(dx, x)),
+                 (np.vdot(g, conv2d_loops(x, w)), np.vdot(dw, w)),
+                 (np.vdot(g, conv2d_loops(x2, w)), np.vdot(dx, x2)),
+                 (np.vdot(g, conv2d_loops(x, w2)), np.vdot(dw, w2))]:
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 def test_conv_rejects_even_kernel():
@@ -157,12 +173,12 @@ def test_softmax_sum_and_shift_invariance():
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity (the differentiable one used by the classification loss)
+# cosine similarity (the one used by the gateway and the classification loss)
 
 
 def cosine(a, b):
-    return float(_cosine_rows(T.Tensor(np.asarray(a, dtype=np.float64)[None, :]),
-                              T.Tensor(np.asarray(b, dtype=np.float64))).data[0, 0])
+    return float(T.cosine(T.Tensor(np.asarray(a, dtype=np.float64)),
+                          T.Tensor(np.asarray(b, dtype=np.float64))).data)
 
 
 def test_cosine_self_similarity():
@@ -184,6 +200,19 @@ def test_cosine_symmetry_and_scale_invariance():
         assert -1.0 <= s <= 1.0
         assert abs(s - cosine(b, a)) < 1e-15
         assert abs(s - cosine(3.7 * a, b)) < 1e-12
+
+
+def test_cosine_stacked_broadcast_equals_pairs():
+    # the gateway's call: (B, L, 1, C) patches against (B, 1, 2, C) descriptors
+    rng = np.random.default_rng(25)
+    v = rng.normal(size=(2, 3, 1, 7))
+    t = rng.normal(size=(2, 1, 2, 7))
+    got = T.cosine(T.Tensor(v), T.Tensor(t)).data
+    assert got.shape == (2, 3, 2)
+    for b in range(2):
+        for l in range(3):
+            for s in range(2):
+                assert got[b, l, s] == cosine(v[b, l, 0], t[b, 0, s])
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +346,12 @@ def test_fd_matmul_and_slices():
     _fd_case(build, [(4, 3), (3, 5)], 17)
 
 
-def test_fd_conv2d():
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_fd_conv2d(k):
     def build(p):
-        y = T.conv2d_same(T.reshape(p["p0"], (1, 2, 4, 4)), p["p1"])
+        y = T.conv2d_same(T.reshape(p["p0"], (2, 2, 3, 5)), p["p1"])
         return T.tsum(y ** 2)
-    _fd_case(build, [(2, 4, 4), (3, 2, 3, 3)], 18)
+    _fd_case(build, [(4, 3, 5), (3, 2, k, k)], 18)
 
 
 def test_fd_softmax_layernorm_gelu():
