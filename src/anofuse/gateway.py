@@ -61,12 +61,15 @@ class FusionGateway:
         """Softmax-normalized weights over the N text levels, per image."""
         return softmax(self.gate_logits(v_global, state), axis=-1)
 
-    def fuse_text(self, weights, feats):
+    def text_matrix(self, feats):
+        """N per-level text features of shape (C,) as one (N, C) tensor."""
+        return concat([reshape(f, (1, self.channels)) for f in feats], axis=0)
+
+    def fuse_text(self, weights, t_mat):
         """Convex combination of per-level text features.
 
-        weights: (B, N) Tensor rows summing to 1; feats: N tensors of shape (C,).
+        weights: (B, N) Tensor rows summing to 1; t_mat: the (N, C) `text_matrix`.
         """
-        t_mat = concat([reshape(f, (1, self.channels)) for f in feats], axis=0)
         return matmul(weights, t_mat)
 
     def level_map(self, v_i, t_normal, t_abnormal, grid):
@@ -87,6 +90,8 @@ class FusionGateway:
             raise ShapeError(f"expected {self.n_groups} levels")
         b = v_list[0].data.shape[0]
         n = self.n_groups
+        # each state's (N, C) text matrix, shared by every level
+        t_mats = [self.text_matrix([t_feats[j][s] for j in range(n)]) for s in range(len(STATES))]
         per_level = []
         weights_used = {}
         for i in range(n):
@@ -100,7 +105,7 @@ class FusionGateway:
                     row[i] = 1.0
                     w = Tensor(np.broadcast_to(row, (b, n)).copy())
                 weights_used[(i, s)] = w.data.copy()
-                fused.append(self.fuse_text(w, [t_feats[j][s] for j in range(n)]))
+                fused.append(self.fuse_text(w, t_mats[s]))
             per_level.append(self.level_map(v_list[i], fused[0], fused[1], grid))
         agg = per_level[0]
         for m in per_level[1:]:

@@ -25,7 +25,8 @@ from .adapter import ConvLoraAdapter, LowRankAdapter
 from .config import RunConfig
 from .errors import ShapeError
 from .gateway import STATES, FusionGateway
-from .tensor import Tensor, gelu, layer_norm, matmul, reshape, softmax, transpose
+from .tensor import (Tensor, _node, gelu_bwd, gelu_fwd, layer_norm_bwd, layer_norm_fwd, softmax_bwd,
+                     softmax_fwd)
 
 MLP_RATIO = 4
 TEXT_CAPACITY = 8
@@ -35,17 +36,40 @@ VOCAB = ("object", "flawless", "damaged")
 PROMPTS = {"normal": ("object", "flawless"), "abnormal": ("object", "damaged")}
 
 
+def attention(qkv, scale):
+    """Scaled dot-product attention of stacked (3, B, H, L, d) queries, keys
+    and values: the (B, H, L, d) output and the (B, H, L, L) weights."""
+    q, k, v = qkv
+    attn = softmax_fwd(np.matmul(q, np.swapaxes(k, -1, -2)) * scale)
+    return np.matmul(attn, v), attn
+
+
+def attention_bwd(do, qkv, attn, scale):
+    """Gradient of `attention` w.r.t. its stacked queries, keys and values,
+    from the output gradient `do`; same (3, B, H, L, d) layout."""
+    q, k, v = qkv
+    ds = softmax_bwd(np.matmul(do, np.swapaxes(v, -1, -2)), attn) * scale
+    return np.stack([np.matmul(ds, k), np.matmul(np.swapaxes(ds, -1, -2), q),
+                     np.matmul(np.swapaxes(attn, -1, -2), do)])
+
+
 class TransformerBlock:
-    """Pre-norm attention + MLP block with bias-free projections (frozen)."""
+    """Pre-norm attention + MLP block with bias-free projections (frozen).
+
+    A call is one graph node whose only parent is the input; its VJP
+    computes the input gradient alone, since no weight here trains."""
 
     def __init__(self, channels, heads, rng, name):
         c = channels
         self.heads = heads
         self.head_dim = c // heads
+        self.scale = self.head_dim ** -0.5
         std = c ** -0.5
-        self.wq = Tensor(rng.normal(0.0, std, (c, c)), name=f"{name}.wq")
-        self.wk = Tensor(rng.normal(0.0, std, (c, c)), name=f"{name}.wk")
-        self.wv = Tensor(rng.normal(0.0, std, (c, c)), name=f"{name}.wv")
+        # wq, wk and wv are column blocks of one (C, 3C) array, so one GEMM
+        # projects all three
+        self.wqkv = np.concatenate([rng.normal(0.0, std, (c, c)) for _ in range(3)], axis=1)
+        self.wq, self.wk, self.wv = (Tensor(self.wqkv[:, i * c:(i + 1) * c], name=f"{name}.{w}")
+                                     for i, w in enumerate(("wq", "wk", "wv")))
         self.wo = Tensor(rng.normal(0.0, std, (c, c)), name=f"{name}.wo")
         self.w1 = Tensor(rng.normal(0.0, std, (c, MLP_RATIO * c)), name=f"{name}.w1")
         self.w2 = Tensor(rng.normal(0.0, (MLP_RATIO * c) ** -0.5, (MLP_RATIO * c, c)),
@@ -53,18 +77,29 @@ class TransformerBlock:
         self.name = name
 
     def forward(self, x):
+        """(B, L, C) tokens -> (B, L, C) tokens. The projections are 2-D GEMMs
+        on the B*L token rows; the closure keeps only what the VJP reads."""
         b, l, c = x.data.shape
-        h = layer_norm(x)
-        q = transpose(reshape(matmul(h, self.wq), (b, l, self.heads, self.head_dim)), (0, 2, 1, 3))
-        k = transpose(reshape(matmul(h, self.wk), (b, l, self.heads, self.head_dim)), (0, 2, 1, 3))
-        v = transpose(reshape(matmul(h, self.wv), (b, l, self.heads, self.head_dim)), (0, 2, 1, 3))
-        scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (self.head_dim ** -0.5)
-        attn = softmax(scores, axis=-1)
-        o = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, l, c))
-        x = x + matmul(o, self.wo)
-        m = layer_norm(x)
-        m = matmul(gelu(matmul(m, self.w1)), self.w2)
-        return x + m
+        rows = b * l
+        wo, w1, w2 = self.wo.data, self.w1.data, self.w2.data
+        h, r1 = layer_norm_fwd(x.data.reshape(rows, c))
+        qkv = (h @ self.wqkv).reshape(b, l, 3, self.heads, self.head_dim).transpose(2, 0, 3, 1, 4)
+        o, attn = attention(qkv, self.scale)
+        x1 = x.data.reshape(rows, c) + o.transpose(0, 2, 1, 3).reshape(rows, c) @ wo
+        m, r2 = layer_norm_fwd(x1)
+        u = m @ w1
+        z, t = gelu_fwd(u)
+        y = x1 + z @ w2
+
+        def vjp(g):
+            g = g.reshape(rows, c)
+            dx1 = g + layer_norm_bwd(gelu_bwd(g @ w2.T, u, t) @ w1.T, m, r2)
+            do = (dx1 @ wo.T).reshape(b, l, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+            dqkv = attention_bwd(do, qkv, attn, self.scale).transpose(1, 3, 0, 2, 4)
+            dh = dqkv.reshape(rows, 3 * c) @ self.wqkv.T
+            return ((dx1 + layer_norm_bwd(dh, h, r1)).reshape(b, l, c),)
+        # under no_grad `_node` drops the closure, and with it every saved array
+        return _node(y.reshape(b, l, c), (x,), vjp)
 
     __call__ = forward
 

@@ -253,49 +253,82 @@ def matmul(a, b):
 
 # ---------------------------------------------------------------------------
 # neural primitives
+#
+# Each formula is written once, as an array-level forward and backward pair;
+# the Tensor primitives below and the fused TransformerBlock node in model.py
+# both call these.
 
 
-def softmax(a, axis=-1):
+def softmax_fwd(x, axis=-1):
     """Numerically stable softmax (max-subtraction) along `axis`."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - inner),)
-    return _node(out_data, (a,), vjp)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def layer_norm(a, eps=1e-5):
-    """LayerNorm over the last axis, no affine parameters."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt(var + eps)
-    y = xc * r
+def softmax_bwd(g, out, axis=-1):
+    """Input gradient of softmax from its output `out`."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
-    def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return (r * (g - gm - y * gym),)
-    return _node(y, (a,), vjp)
+
+def layer_norm_fwd(x, eps=1e-5):
+    """LayerNorm over the last axis, no affine parameters: the output y and
+    the reciprocal standard deviation r that the backward reads."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    r = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc * r, r
+
+
+def layer_norm_bwd(g, y, r):
+    """Input gradient of LayerNorm from its output y and r."""
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * y).mean(axis=-1, keepdims=True)
+    return r * (g - gm - y * gym)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu(a):
-    """tanh-form GELU."""
-    x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    out_data = 0.5 * x * (1.0 + t)
+def gelu_fwd(x):
+    """tanh-form GELU: the output and the tanh term t that the backward reads."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * ((x * x) * x)))
+    return 0.5 * x * (1.0 + t), t
 
-    def vjp(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
-    return _node(out_data, (a,), vjp)
+
+def gelu_bwd(g, x, t):
+    """Input gradient of GELU at x, with t from `gelu_fwd`:
+    g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du), du = C * (1 + 3 * 0.044715 * x * x).
+
+    Computed in place in two buffers: at batch 32 the MLP activations are
+    large enough that every further temporary costs a trip to memory."""
+    du = x * x
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    s *= x
+    s *= 0.5
+    s *= du
+    np.add(t, 1.0, out=du)
+    du *= 0.5
+    du += s
+    du *= g
+    return du
+
+
+def softmax(a, axis=-1):
+    out_data = softmax_fwd(a.data, axis)
+    return _node(out_data, (a,), lambda g: (softmax_bwd(g, out_data, axis),))
+
+
+def layer_norm(a, eps=1e-5):
+    y, r = layer_norm_fwd(a.data, eps)
+    return _node(y, (a,), lambda g: (layer_norm_bwd(g, y, r),))
+
+
+def gelu(a):
+    out_data, t = gelu_fwd(a.data)
+    return _node(out_data, (a,), lambda g: (gelu_bwd(g, a.data, t),))
 
 
 # ---------------------------------------------------------------------------

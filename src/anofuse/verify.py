@@ -23,7 +23,8 @@ import numpy as np
 
 from .gateway import STATES
 from .losses import model_loss
-from .tensor import Tensor, conv2d_same, grad, no_grad, reshape_2d_to_seq, reshape_seq_to_2d
+from .tensor import (Tensor, conv2d_same, gelu, grad, layer_norm, matmul, no_grad, reshape,
+                     reshape_2d_to_seq, reshape_seq_to_2d, softmax, transpose, tsum)
 
 STEP = 1e-5  # central-difference step h
 RTOL = 1e-4  # relative part of the allowance
@@ -146,6 +147,27 @@ def conv2d_loops(x, w):
     return y
 
 
+def block_composition(block, x):
+    """A frozen TransformerBlock composed from Tensor primitives, one graph
+    node per op: the reference for the fused block's forward values and
+    input gradient."""
+    b, l, c = x.data.shape
+    h = layer_norm(x)
+    q, k, v = (transpose(reshape(matmul(h, w), (b, l, block.heads, block.head_dim)), (0, 2, 1, 3))
+               for w in (block.wq, block.wk, block.wv))
+    attn = softmax(matmul(q, transpose(k, (0, 1, 3, 2))) * block.scale, axis=-1)
+    x = x + matmul(reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, l, c)), block.wo)
+    return x + matmul(gelu(matmul(layer_norm(x), block.w1)), block.w2)
+
+
+def block_input_gradients(block, x, probe):
+    """Input gradient of sum(probe * out) through the fused block and
+    through `block_composition`, for a (B, L, C) array x."""
+    xt = Tensor(x, trainable=True)
+    return tuple(grad(tsum(f(xt) * probe), {"x": xt})["x"]
+                 for f in (block, lambda t: block_composition(block, t)))
+
+
 def adapter_branch_composition(x, adapter, k, grid):
     """One Conv-LoRA branch on (B, L, C) array tokens: bottleneck, two
     1/k-scaled k x k convolutions, up-projection."""
@@ -239,7 +261,7 @@ def run_selftest():
     from .gateway import FusionGateway
     from .losses import dice_loss, focal_loss, seg_loss
     from .metrics import auroc, average_precision
-    from .tensor import softmax
+    from .model import TransformerBlock
 
     ok = True
 
@@ -307,6 +329,15 @@ def run_selftest():
     want = (float(focal_loss(pred, target, cfg.focal_gamma, cfg.focal_alpha).data)
             + float(dice_loss(pred, target, cfg.dice_smooth).data))
     report("segmentation loss additivity", abs(seg - want) < 1e-12)
+
+    blk = TransformerBlock(8, 2, np.random.default_rng(5), "selftest")
+    xb = rng.normal(size=(2, 3, 8))
+    with no_grad():
+        same = np.array_equal(blk(Tensor(xb)).data, block_composition(blk, Tensor(xb)).data)
+    g_fused, g_composed = block_input_gradients(blk, xb, rng.normal(size=xb.shape))
+    rel = np.abs(g_fused - g_composed).max() / np.abs(g_composed).max()
+    report("fused transformer block matches composed block", same and rel < 1e-12,
+           f"(input gradient within {rel:.1e} relative)")
 
     res = full_model_gradient_suite(_selftest_config())
     report("small-model gradient suite vs finite differences", res.passed(),

@@ -68,7 +68,7 @@ def test_fuse_text_one_hot_selects_exactly():
     for j in range(3):
         w = np.zeros((2, 3))
         w[:, j] = 1.0
-        fused = gw.fuse_text(Tensor(w), feats).data
+        fused = gw.fuse_text(Tensor(w), gw.text_matrix(feats)).data
         np.testing.assert_array_equal(fused[0], feats[j].data)
         np.testing.assert_array_equal(fused[1], feats[j].data)
 
@@ -78,14 +78,14 @@ def test_fuse_text_identical_features_ignore_weights():
     f = Tensor(np.random.default_rng(6).normal(size=(6,)))
     feats = [f, f, f]
     w = Tensor(np.array([[0.2, 0.5, 0.3]]))
-    fused = gw.fuse_text(w, feats).data
+    fused = gw.fuse_text(w, gw.text_matrix(feats)).data
     np.testing.assert_allclose(fused[0], f.data, rtol=0, atol=1e-12)
 
 
 def test_fuse_text_hand_linear_combination():
     gw = FusionGateway(2, 2, 2, 0.07, dynamic=False)
     feats = [Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0]))]
-    fused = gw.fuse_text(Tensor(np.array([[0.25, 0.75]])), feats).data
+    fused = gw.fuse_text(Tensor(np.array([[0.25, 0.75]])), gw.text_matrix(feats)).data
     np.testing.assert_array_equal(fused, [[0.25, 0.75]])
 
 

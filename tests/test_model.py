@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anofuse import model as model_module
 from anofuse.config import RunConfig
 from anofuse.errors import ShapeError
-from anofuse.model import PROMPTS, VOCAB, build_model
+from anofuse.model import PROMPTS, VOCAB, TransformerBlock, build_model
 from anofuse.tensor import Tensor, grad, no_grad, tsum
+from anofuse.verify import block_composition, block_input_gradients, check_gradients
 
 
 def small_config(**kw):
@@ -194,3 +196,82 @@ def test_vocab_covers_prompts():
     for state, words in PROMPTS.items():
         for w in words:
             assert w in VOCAB
+
+
+# (batch, tokens, channels, heads): the batch-32 training shape, a text
+# prompt, and a tiny shape with two heads
+BLOCK_SHAPES = [(32, 17, 64, 4), (1, 2, 64, 4), (2, 3, 8, 2)]
+
+
+def _block_and_input(b, l, c, heads, seed=12):
+    blk = TransformerBlock(c, heads, np.random.default_rng(seed), "test.b0")
+    return blk, np.random.default_rng(seed + 1).normal(size=(b, l, c))
+
+
+@pytest.mark.parametrize("b,l,c,heads", BLOCK_SHAPES)
+def test_fused_block_forward_equals_composed_oracle(b, l, c, heads):
+    blk, x = _block_and_input(b, l, c, heads)
+    want = block_composition(blk, Tensor(x)).data
+    assert np.array_equal(blk(Tensor(x)).data, want)
+    with no_grad():
+        assert np.array_equal(blk(Tensor(x)).data, want)
+
+
+@pytest.mark.parametrize("b,l,c,heads", BLOCK_SHAPES)
+def test_fused_block_input_gradient_matches_composed_oracle(b, l, c, heads):
+    blk, x = _block_and_input(b, l, c, heads)
+    probe = np.random.default_rng(14).normal(size=x.shape)
+    fused, composed = block_input_gradients(blk, x, probe)
+    assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()
+
+
+@pytest.mark.parametrize("cfg", [small_config(blocks_per_group=2), RunConfig()],
+                         ids=["two-blocks-per-group", "default"])
+def test_model_forward_equals_composed_block_oracle(monkeypatch, cfg):
+    m = build_model(cfg)
+    rng = np.random.default_rng(15)
+    for ad in m.vision_adapters + m.text_loras:
+        ad.w_up.data[:] = rng.normal(0, 0.2, ad.w_up.data.shape)
+    images = rand_images(cfg, 3, seed=16)
+
+    def run():
+        with no_grad():
+            out = m.forward(m.vision_prefix(images), m.text_forward(m.text_prefix()))
+        return [out.amap.upsampled.data, out.v_cls.data] + [v.data for v in out.v_list]
+    fused = run()
+    monkeypatch.setattr(TransformerBlock, "__call__", block_composition)
+    for got, want in zip(fused, run()):
+        assert np.array_equal(got, want)
+
+
+def _block_gradient_check(b=2, l=3, c=8, heads=2):
+    blk, x = _block_and_input(b, l, c, heads)
+    probe = np.random.default_rng(17).normal(size=x.shape)
+    params = {"x": Tensor(x, trainable=True, name="x")}
+    return check_gradients(lambda: tsum(blk(params["x"]) * probe), params)
+
+
+def test_fd_fused_block_input_gradient():
+    res = _block_gradient_check()
+    assert res.passed(), res.failures[:3]
+    assert res.n_checked == 2 * 3 * 8
+
+
+def test_fd_fused_block_catches_a_scaled_qkv_gradient(monkeypatch):
+    attention_bwd = model_module.attention_bwd
+    monkeypatch.setattr(model_module, "attention_bwd",
+                        lambda *args: attention_bwd(*args) * (1 + 1e-3))
+    assert not _block_gradient_check().passed()
+
+
+def test_fused_block_is_one_node_whose_only_parent_is_its_input():
+    blk, x = _block_and_input(2, 3, 8, 2)
+    xt = Tensor(x, trainable=True)
+    y = blk(xt)
+    assert y.requires_grad and y._parents == (xt,) and y._vjp is not None
+    with no_grad():
+        y = blk(xt)
+    assert not y.requires_grad and y._parents == () and y._vjp is None
+    # a constant input records nothing either
+    y = blk(Tensor(x))
+    assert not y.requires_grad and y._parents == () and y._vjp is None
