@@ -5,7 +5,9 @@ Every vision group ends with a residual adapter on the patch tokens (the
 multi-branch convolutional one, or a plain low-rank one for the ablation
 baseline) and every text group ends with a plain low-rank residual. Only
 adapters, text residuals, and the fusion gateway train; backbone weights
-are drawn once from the model seed and never receive gradients.
+are drawn once from the model seed and never receive gradients. So a
+frozen transformer block is one graph node whose hand-written VJP
+computes the gradient of its input alone, never of its weights.
 
 A subgraph with no trainable input is a constant. The frozen prefix is
 such a subgraph: patchify plus the group-0 vision blocks for each image
@@ -81,11 +83,12 @@ class TransformerBlock:
         on the B*L token rows; the closure keeps only what the VJP reads."""
         b, l, c = x.data.shape
         rows = b * l
+        xd = x.data.reshape(rows, c)
         wo, w1, w2 = self.wo.data, self.w1.data, self.w2.data
-        h, r1 = layer_norm_fwd(x.data.reshape(rows, c))
+        h, r1 = layer_norm_fwd(xd)
         qkv = (h @ self.wqkv).reshape(b, l, 3, self.heads, self.head_dim).transpose(2, 0, 3, 1, 4)
         o, attn = attention(qkv, self.scale)
-        x1 = x.data.reshape(rows, c) + o.transpose(0, 2, 1, 3).reshape(rows, c) @ wo
+        x1 = xd + o.transpose(0, 2, 1, 3).reshape(rows, c) @ wo
         m, r2 = layer_norm_fwd(x1)
         u = m @ w1
         z, t = gelu_fwd(u)
