@@ -2,9 +2,10 @@
 
 The ConvLoraAdapter compresses tokens through a shared low-rank bottleneck,
 runs parallel k x k convolution pairs (one pair per kernel size, each conv
-scaled by 1/k) on the spatial layout, projects each branch back up, and
-fuses the concatenated branch outputs with a 1x1 convolution. The result is
-a residual update the caller adds to its tokens. With the up-projection at
+scaled by 1/k) on the token rows of the patch grid, projects each branch
+back up, and fuses the branch outputs, concatenated along channels, with
+the same row convolution at k = 1. The result is a residual update the
+caller adds to its tokens. With the up-projection at
 its zero init the update is exactly zero, so a freshly built adapter leaves
 the network function untouched.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat, conv2d_same, matmul, reshape_2d_to_seq, reshape_seq_to_2d
+from .tensor import Tensor, concat, conv_rows, matmul
 
 
 class ConvLoraAdapter:
@@ -42,17 +43,14 @@ class ConvLoraAdapter:
     def branch_forward(self, x, k, grid):
         """One branch: bottleneck, two 1/k-scaled k x k convs, up-projection."""
         z = matmul(x, self.w_down)
-        z = reshape_seq_to_2d(z, grid)
-        z = conv2d_same(z, self.conv_down[k]) * (1.0 / k)
-        z = conv2d_same(z, self.conv_up[k]) * (1.0 / k)
-        return matmul(reshape_2d_to_seq(z), self.w_up)
+        z = conv_rows(z, self.conv_down[k], grid) * (1.0 / k)
+        z = conv_rows(z, self.conv_up[k], grid) * (1.0 / k)
+        return matmul(z, self.w_up)
 
     def forward(self, x, grid):
         """Residual update for (B, L, C) tokens; caller adds it to x."""
-        branches = [reshape_seq_to_2d(self.branch_forward(x, k, grid), grid)
-                    for k in self.branch_kernels]
-        fused = conv2d_same(concat(branches, axis=1), self.fuse_1x1)
-        return reshape_2d_to_seq(fused)
+        branches = [self.branch_forward(x, k, grid) for k in self.branch_kernels]
+        return conv_rows(concat(branches, axis=-1), self.fuse_1x1, grid)
 
     __call__ = forward
 

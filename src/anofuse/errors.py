@@ -10,7 +10,7 @@ class ConfigurationError(ValueError):
 
 
 class TrainingError(RuntimeError):
-    """Training produced a non-finite loss. Carries a parameter snapshot."""
+    """Training diverged or trains nothing. May carry a parameter snapshot."""
 
     def __init__(self, message, snapshot=None):
         super().__init__(message)

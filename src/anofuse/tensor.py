@@ -6,11 +6,13 @@ all kernels are pure functions of their inputs, so results are
 deterministic for a fixed seed. Gradients are produced by `grad()` and are
 validated against central finite differences in the test suite.
 
-Layout conventions: token sequences are (B, L, C), spatial feature maps
-are (B, C, H, W).
+Layout convention: token sequences are (B, L, C) rows of a row-major
+(H, W) patch grid; convolutions run on those rows.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,13 +208,8 @@ def reshape(a, shape):
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-_INV_AXES = {}
-
-
 def transpose(a, axes):
-    inv = _INV_AXES.get(axes)
-    if inv is None:
-        inv = _INV_AXES[axes] = tuple(int(i) for i in np.argsort(axes))
+    inv = np.argsort(axes)
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
@@ -332,72 +329,65 @@ def gelu(a):
 
 
 # ---------------------------------------------------------------------------
-# sequence <-> spatial reshape operators
+# convolution on token rows
 
 
-def reshape_seq_to_2d(x, grid):
-    """(B, L, C) tokens to a (B, C, H, W) map, row-major patch order."""
+@lru_cache(maxsize=None)
+def _neighbours(grid, k):
+    """(L, k*k) row index of each token's k x k neighbourhood on an (H, W)
+    grid, L = H*W: entry (l, i*k + j) is the token at (h + i - p, w + j - p)
+    for l = h*W + w, p = (k - 1) // 2, or L (a zero row) off the grid."""
     h, w = grid
-    b, l, c = x.data.shape
-    if l != h * w:
-        raise ShapeError(f"sequence length {l} != grid {h}x{w}")
-    return transpose(reshape(x, (b, h, w, c)), (0, 3, 1, 2))
+    rows, cols = np.divmod(np.arange(h * w), w)
+    d = np.arange(k) - (k - 1) // 2
+    r = rows[:, None, None] + d[None, :, None]
+    c = cols[:, None, None] + d[None, None, :]
+    inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+    return np.where(inside, r * w + c, h * w).reshape(h * w, k * k)
 
 
-def reshape_2d_to_seq(x):
-    """Exact inverse of reshape_seq_to_2d."""
-    b, c, h, w = x.data.shape
-    return reshape(transpose(x, (0, 2, 3, 1)), (b, h * w, c))
+def _columns(a, idx):
+    """The (B*L, k*k*C) neighbourhood columns of (B, L, C) rows `a`."""
+    b, l, c = a.shape
+    padded = np.zeros((b, l + 1, c))
+    padded[:, :l] = a
+    return np.take(padded, idx, axis=1).reshape(b * l, -1)
 
 
-# ---------------------------------------------------------------------------
-# convolution
+def conv_rows(x, w, grid):
+    """k x k convolution with zero 'same' padding, no bias, odd k only, on
+    (B, L, Cin) token rows of a row-major (H, W) grid; w is (Cout, Cin, k, k).
 
-
-def _im2col(xd, k):
-    """The zero-padded k x k neighbourhoods of a (B, C, H, W) array as
-    contiguous (B, C*k*k, H*W) columns: row (c, i, j) at pixel (h, w) holds
-    x[c, h + i - p, w + j - p], p = (k - 1) // 2."""
-    b, c, h, w = xd.shape
-    p = (k - 1) // 2
-    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
-    xp[:, :, p:p + h, p:p + w] = xd
-    # windows view (B, C, k, k, H, W); index [.., i, j, h, w] = xp[.., i+h, j+w]
-    return np.lib.stride_tricks.sliding_window_view(xp, (h, w), axis=(2, 3)).reshape(
-        b, c * k * k, h * w)
-
-
-def conv2d_same(x, w):
-    """k x k convolution with zero 'same' padding, no bias, odd k only.
-
-    x: (B, Cin, H, W), w: (Cout, Cin, k, k). The forward pass is im2col +
-    matmul. The input gradient is the same kernel applied to the output
-    gradient with w flipped in space and its channel axes swapped, which
-    for odd k and 'same' padding is the transposed convolution.
+    The forward pass gathers each token's neighbourhood and runs one GEMM.
+    The input gradient is the same gather on the output gradient with w
+    flipped in space and its channel axes swapped, which for odd k and
+    'same' padding is the transposed convolution.
     """
     xd, wd = x.data, w.data
-    if xd.ndim != 4 or wd.ndim != 4:
-        raise ShapeError("conv2d_same expects (B,Cin,H,W) input and (Cout,Cin,k,k) kernel")
+    if xd.ndim != 3 or wd.ndim != 4:
+        raise ShapeError("conv_rows expects (B,L,Cin) input and (Cout,Cin,k,k) kernel")
     cout, cin, k, k2 = wd.shape
     if k != k2:
         raise ShapeError(f"kernel must be square, got {k}x{k2}")
     if k % 2 == 0:
         raise ConfigurationError(f"kernel size must be odd, got {k}")
-    if cin != xd.shape[1]:
-        raise ShapeError(f"channel mismatch: input {xd.shape[1]}, kernel {cin}")
+    b, l, c = xd.shape
+    if cin != c:
+        raise ShapeError(f"channel mismatch: input {c}, kernel {cin}")
+    if l != grid[0] * grid[1]:
+        raise ShapeError(f"sequence length {l} != grid {grid[0]}x{grid[1]}")
 
-    b, _, h, wdt = xd.shape
-    cols = _im2col(xd, k)
-    y = np.matmul(wd.reshape(cout, cin * k * k), cols).reshape(b, cout, h, wdt)
+    idx = _neighbours(grid, k)
+    cols = _columns(xd, idx)
+    y = (cols @ wd.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)).reshape(b, l, cout)
 
     def vjp(g):
         dx = dw = None
         if w.requires_grad:
-            gm = g.reshape(b, cout, h * wdt)
-            dw = np.tensordot(gm, cols, axes=([0, 2], [0, 2])).reshape(wd.shape)
+            dw = (cols.T @ g.reshape(b * l, cout)).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
         if x.requires_grad:
-            wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-            dx = np.matmul(wt, _im2col(g, k)).reshape(xd.shape)
+            wt = wd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+            dx = (_columns(g, idx) @ wt).reshape(xd.shape)
         return (dx, dw)
     return _node(y, (x, w), vjp)
 
@@ -419,18 +409,13 @@ def cosine(u, v):
     return tsum(u * v, axis=-1) / (nu * nv)
 
 
-_BILINEAR_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def bilinear_matrix(src_hw, dst_hw):
     """Interpolation matrix A with vec(out) = A @ vec(src), corner-aligned."""
     sh, sw = src_hw
     dh, dw = dst_hw
     if dh < sh or dw < sw:
         raise ShapeError(f"upsample target {dst_hw} smaller than source {src_hw}")
-    cached = _BILINEAR_CACHE.get((sh, sw, dh, dw))
-    if cached is not None:
-        return cached
 
     def axis_weights(n_src, n_dst):
         w = np.zeros((n_dst, n_src))
@@ -446,11 +431,7 @@ def bilinear_matrix(src_hw, dst_hw):
             w[i, lo + 1] = frac
         return w
 
-    wy = axis_weights(sh, dh)
-    wx = axis_weights(sw, dw)
-    out = np.kron(wy, wx)
-    _BILINEAR_CACHE[(sh, sw, dh, dw)] = out
-    return out
+    return np.kron(axis_weights(sh, dh), axis_weights(sw, dw))
 
 
 def bilinear_upsample(m, target):

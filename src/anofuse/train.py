@@ -81,7 +81,7 @@ def vision_prefix_rows(model, samples, batch_size):
 
 
 def train(config: RunConfig, corpora=None) -> TrainResult:
-    """Deterministic training run; aborts with the trace on divergence.
+    """Deterministic training run; aborts with the trace on divergence or a zero gradient.
 
     The frozen prefix of every training image and of the prompts is
     computed once per run; each step gathers its batch's rows.
@@ -102,6 +102,8 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
             out = model.forward(prefix, model.text_forward(text_prefix))
             total, seg, cls = model_loss(out, masks, labels, config)
             grads = grad(total, model.trainable_params())
+            if not any(g.any() for g in grads.values()):
+                raise TrainingError(f"step {step}: every trainable gradient is exactly zero")
         except TrainingError as exc:
             exc.trace = trace
             raise

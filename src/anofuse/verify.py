@@ -23,8 +23,8 @@ import numpy as np
 
 from .gateway import STATES
 from .losses import model_loss
-from .tensor import (Tensor, conv2d_same, gelu, grad, layer_norm, matmul, no_grad, reshape,
-                     reshape_2d_to_seq, reshape_seq_to_2d, softmax, transpose, tsum)
+from .tensor import (Tensor, conv_rows, gelu, grad, layer_norm, matmul, no_grad, reshape, softmax,
+                     transpose, tsum)
 
 STEP = 1e-5  # central-difference step h
 RTOL = 1e-4  # relative part of the allowance
@@ -127,7 +127,7 @@ def full_model_gradient_suite(config) -> GradCheckResult:
 
 
 def conv2d_loops(x, w):
-    """Direct nested-loop convolution with zero 'same' padding."""
+    """Direct nested-loop convolution with zero 'same' padding, (B, C, H, W)."""
     bsz, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
     p = (k - 1) // 2
@@ -145,6 +145,17 @@ def conv2d_loops(x, w):
                                     acc += x[b, ci, src_h, src_w] * w[co, ci, i, j]
                     y[b, co, hh, ww] = acc
     return y
+
+
+def rows_to_maps(x, grid):
+    """(B, L, C) token rows of a row-major grid as a (B, C, H, W) map."""
+    return x.reshape(x.shape[0], *grid, x.shape[2]).transpose(0, 3, 1, 2)
+
+
+def maps_to_rows(m):
+    """Inverse of `rows_to_maps`."""
+    b, c, h, w = m.shape
+    return m.transpose(0, 2, 3, 1).reshape(b, h * w, c)
 
 
 def block_composition(block, x):
@@ -170,24 +181,20 @@ def block_input_gradients(block, x, probe):
 
 def adapter_branch_composition(x, adapter, k, grid):
     """One Conv-LoRA branch on (B, L, C) array tokens: bottleneck, two
-    1/k-scaled k x k convolutions, up-projection."""
-    b, l, _ = x.shape
-    z = (x @ adapter.w_down.data).reshape(b, *grid, -1).transpose(0, 3, 1, 2)
-    with no_grad():
-        z = conv2d_same(Tensor(z), adapter.conv_down[k]).data / k
-        z = conv2d_same(Tensor(z), adapter.conv_up[k]).data / k
-    return z.transpose(0, 2, 3, 1).reshape(b, l, -1) @ adapter.w_up.data
+    1/k-scaled k x k loop convolutions on the (B, r, H, W) map,
+    up-projection."""
+    z = rows_to_maps(x @ adapter.w_down.data, grid)
+    z = conv2d_loops(z, adapter.conv_down[k].data) / k
+    z = conv2d_loops(z, adapter.conv_up[k].data) / k
+    return maps_to_rows(z) @ adapter.w_up.data
 
 
 def adapter_composition(x, adapter, grid):
     """Conv-LoRA residual update: every branch, concatenated along channels,
-    fused by the 1x1 convolution."""
-    b, l, c = x.shape
-    spatial = [adapter_branch_composition(x, adapter, k, grid).reshape(b, *grid, c)
-               .transpose(0, 3, 1, 2) for k in adapter.branch_kernels]
-    with no_grad():
-        fused = conv2d_same(Tensor(np.concatenate(spatial, axis=1)), adapter.fuse_1x1).data
-    return fused.transpose(0, 2, 3, 1).reshape(b, l, c)
+    fused by the 1x1 loop convolution."""
+    maps = [rows_to_maps(adapter_branch_composition(x, adapter, k, grid), grid)
+            for k in adapter.branch_kernels]
+    return maps_to_rows(conv2d_loops(np.concatenate(maps, axis=1), adapter.fuse_1x1.data))
 
 
 def gateway_composition(gateway, v_list, t_feats, grid):
@@ -272,21 +279,17 @@ def run_selftest():
 
     rng = np.random.default_rng(0)
 
-    x = rng.normal(size=(2, 12, 5))
-    back = reshape_2d_to_seq(reshape_seq_to_2d(Tensor(x), (3, 4))).data
-    report("reshape roundtrip bit-exact", bool((back == x).all()))
-
     v = rng.normal(size=6) * 8
     w = softmax(Tensor(v)).data
     report("softmax normalization and shift invariance",
            abs(w.sum() - 1.0) < 1e-12
            and np.abs(w - softmax(Tensor(v + 3.0)).data).max() < 1e-12)
 
-    xs = rng.normal(size=(1, 2, 5, 5))
-    ks = rng.normal(size=(2, 2, 3, 3))
-    got = conv2d_same(Tensor(xs), Tensor(ks)).data
-    report("convolution vs nested-loop reference",
-           np.abs(got - conv2d_loops(xs, ks)).max() < 1e-12)
+    xs = rng.normal(size=(2, 15, 2))
+    ks = rng.normal(size=(3, 2, 3, 3))
+    got = conv_rows(Tensor(xs), Tensor(ks), (3, 5)).data
+    report("row convolution vs nested-loop reference (3x5 grid)",
+           np.abs(got - maps_to_rows(conv2d_loops(rows_to_maps(xs, (3, 5)), ks))).max() < 1e-12)
 
     metric_ok = True
     for _ in range(200):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 
 from anofuse import tensor as T
@@ -135,6 +137,20 @@ def test_adapter_gradients_match_finite_differences():
         return T.tsum(T.tanh(ad(x, (3, 3))) ** 2)
     res = check_gradients(loss, params)
     assert res.passed(), res.failures[:3]
+
+
+def test_one_call_records_no_layout_nodes():
+    ad = make_adapter(kernels=(3, 5), randomize_up=True)
+    x = T.Tensor(np.random.default_rng(14).normal(size=(2, 15, 4)))
+    seen, stack, kinds = set(), [ad(x, (3, 5))], Counter()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._vjp is None:
+            continue
+        seen.add(id(node))
+        kinds[node._vjp.__qualname__.split(".")[0]] += 1
+        stack.extend(node._parents)
+    assert kinds == {"conv_rows": 5, "matmul": 4, "mul": 4, "concat": 1}
 
 
 def test_low_rank_adapter_zero_init_and_forward():

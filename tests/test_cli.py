@@ -80,6 +80,14 @@ def test_non_finite_setting_is_one_error_line(tmp_path, override, capsys):
     assert f"{override[0][2:]}={override[1]} (need finite)" in err[0]
 
 
+def test_run_that_trains_nothing_is_one_error_line(tmp_path, capsys):
+    # at this temperature every trainable gradient of the first step is
+    # exactly zero
+    assert main(["train", "--out", str(tmp_path)] + TINY + ["--temperature", "1e-300"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: step 0: every trainable gradient is exactly zero"]
+
+
 @pytest.mark.parametrize("override", [["--heads", "0"], ["--heads", "-1"],
                                       ["--patch_size", "0"], ["--patch_size", "-8"]],
                          ids=lambda o: f"{o[0][2:]}={o[1]}")

@@ -3,16 +3,16 @@ import pytest
 
 from anofuse import tensor as T
 from anofuse.errors import ConfigurationError, ShapeError, TrainingError
-from anofuse.verify import check_gradients, conv2d_loops
+from anofuse.verify import check_gradients, conv2d_loops, maps_to_rows, rows_to_maps
 
 
 # ---------------------------------------------------------------------------
-# sequence <-> spatial reshapes
+# sequence <-> spatial layout of the convolution oracles
 
 
 def test_reshape_seq_to_2d_tiny():
-    x = T.Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1))
-    y = T.reshape_seq_to_2d(x, (2, 2)).data
+    x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
+    y = rows_to_maps(x, (2, 2))
     assert y.shape == (1, 1, 2, 2)
     np.testing.assert_array_equal(y[0, 0], [[1.0, 2.0], [3.0, 4.0]])
 
@@ -21,8 +21,7 @@ def test_reshape_roundtrip_bit_exact():
     rng = np.random.default_rng(0)
     for b, h, w, c in [(1, 2, 2, 1), (2, 2, 3, 3), (3, 4, 4, 8), (2, 1, 5, 2)]:
         x = rng.normal(size=(b, h * w, c))
-        back = T.reshape_2d_to_seq(T.reshape_seq_to_2d(T.Tensor(x), (h, w))).data
-        assert (back == x).all()
+        assert (maps_to_rows(rows_to_maps(x, (h, w))) == x).all()
 
 
 def test_reshape_index_arithmetic_oracle():
@@ -30,7 +29,7 @@ def test_reshape_index_arithmetic_oracle():
     # by enumerating every position
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 6, 3))
-    y = T.reshape_seq_to_2d(T.Tensor(x), (2, 3)).data
+    y = rows_to_maps(x, (2, 3))
     for b in range(2):
         for c in range(3):
             for h in range(2):
@@ -39,35 +38,33 @@ def test_reshape_index_arithmetic_oracle():
     assert y[1, 2, 1, 2] == x[1, 5, 2]
 
 
-def test_reshape_rejects_bad_grid():
-    x = T.Tensor(np.zeros((1, 5, 2)))
-    with pytest.raises(ShapeError):
-        T.reshape_seq_to_2d(x, (2, 2))
-
-
 def test_reshape_constant_preserved():
-    x = T.Tensor(np.full((2, 12, 4), 3.25))
-    y = T.reshape_2d_to_seq(T.reshape_seq_to_2d(x, (3, 4))).data
-    assert (y == 3.25).all()
+    x = np.full((2, 12, 4), 3.25)
+    assert (maps_to_rows(rows_to_maps(x, (3, 4))) == 3.25).all()
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# convolution on token rows
+
+
+def conv_loops(x, w, grid):
+    """The nested-loop oracle on (B, L, C) token rows of `grid`."""
+    return maps_to_rows(conv2d_loops(rows_to_maps(x, grid), w))
 
 
 def test_conv_identity_1x1():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(1, 3, 4, 4))
+    x = rng.normal(size=(1, 16, 3))
     w = np.eye(3).reshape(3, 3, 1, 1)
-    y = T.conv2d_same(T.Tensor(x), T.Tensor(w))
+    y = T.conv_rows(T.Tensor(x), T.Tensor(w), (4, 4))
     np.testing.assert_array_equal(y.data, x)
 
 
 def test_conv_ones_kernel_border_arithmetic():
     c = 2.5
-    x = np.full((1, 1, 4, 4), c)
+    x = np.full((1, 16, 1), c)
     w = np.ones((1, 1, 3, 3))
-    y = T.conv2d_same(T.Tensor(x), T.Tensor(w)).data[0, 0]
+    y = T.conv_rows(T.Tensor(x), T.Tensor(w), (4, 4)).data.reshape(4, 4)
     assert y[1, 1] == 9 * c and y[2, 2] == 9 * c
     assert y[0, 0] == 4 * c and y[3, 3] == 4 * c
     assert y[0, 1] == 6 * c and y[3, 2] == 6 * c and y[1, 0] == 6 * c
@@ -77,11 +74,10 @@ def test_conv_ones_kernel_border_arithmetic():
 def test_conv_matches_loop_oracle(k):
     rng = np.random.default_rng(3 + k)
     for hw in [(5, 5), (3, 5)]:
-        x = rng.normal(size=(2, 2, *hw))
+        x = rng.normal(size=(2, hw[0] * hw[1], 2))
         w = rng.normal(size=(3, 2, k, k))
-        got = T.conv2d_same(T.Tensor(x), T.Tensor(w)).data
-        want = conv2d_loops(x, w)
-        assert np.abs(got - want).max() < 1e-12
+        got = T.conv_rows(T.Tensor(x), T.Tensor(w), hw).data
+        assert np.abs(got - conv_loops(x, w, hw)).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -89,25 +85,31 @@ def test_conv_gradients_are_adjoint_to_the_loop_oracle(k):
     # conv is bilinear, so <g, conv(x, w)> = <dx, x> = <dw, w>, and the same
     # holds for independent probes x2, w2 against the nested-loop forward
     rng = np.random.default_rng(30 + k)
-    x, x2 = rng.normal(size=(2, 2, 2, 3, 5))
+    grid = (3, 5)
+    x, x2 = rng.normal(size=(2, 2, 15, 2))
     w, w2 = rng.normal(size=(2, 4, 2, k, k))
-    g = rng.normal(size=(2, 4, 3, 5))
-    dx, dw = T.conv2d_same(T.Tensor(x, trainable=True), T.Tensor(w, trainable=True))._vjp(g)
-    for a, b in [(np.vdot(g, conv2d_loops(x, w)), np.vdot(dx, x)),
-                 (np.vdot(g, conv2d_loops(x, w)), np.vdot(dw, w)),
-                 (np.vdot(g, conv2d_loops(x2, w)), np.vdot(dx, x2)),
-                 (np.vdot(g, conv2d_loops(x, w2)), np.vdot(dw, w2))]:
+    g = rng.normal(size=(2, 15, 4))
+    dx, dw = T.conv_rows(T.Tensor(x, trainable=True), T.Tensor(w, trainable=True), grid)._vjp(g)
+    for a, b in [(np.vdot(g, conv_loops(x, w, grid)), np.vdot(dx, x)),
+                 (np.vdot(g, conv_loops(x, w, grid)), np.vdot(dw, w)),
+                 (np.vdot(g, conv_loops(x2, w, grid)), np.vdot(dx, x2)),
+                 (np.vdot(g, conv_loops(x, w2, grid)), np.vdot(dw, w2))]:
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 def test_conv_rejects_even_kernel():
     with pytest.raises(ConfigurationError):
-        T.conv2d_same(T.Tensor(np.zeros((1, 1, 4, 4))), T.Tensor(np.zeros((1, 1, 2, 2))))
+        T.conv_rows(T.Tensor(np.zeros((1, 16, 1))), T.Tensor(np.zeros((1, 1, 2, 2))), (4, 4))
 
 
 def test_conv_rejects_channel_mismatch():
     with pytest.raises(ShapeError):
-        T.conv2d_same(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))))
+        T.conv_rows(T.Tensor(np.zeros((1, 16, 2))), T.Tensor(np.zeros((1, 3, 3, 3))), (4, 4))
+
+
+def test_conv_rejects_bad_grid():
+    with pytest.raises(ShapeError):
+        T.conv_rows(T.Tensor(np.zeros((1, 5, 2))), T.Tensor(np.zeros((1, 2, 3, 3))), (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +351,9 @@ def test_fd_matmul_and_slices():
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_fd_conv2d(k):
     def build(p):
-        y = T.conv2d_same(T.reshape(p["p0"], (2, 2, 3, 5)), p["p1"])
+        y = T.conv_rows(p["p0"], p["p1"], (3, 5))
         return T.tsum(y ** 2)
-    _fd_case(build, [(4, 3, 5), (3, 2, k, k)], 18)
+    _fd_case(build, [(2, 15, 2), (3, 2, k, k)], 18)
 
 
 def test_fd_softmax_layernorm_gelu():
@@ -364,10 +366,10 @@ def test_fd_softmax_layernorm_gelu():
 
 def test_fd_concat_reshape_transpose():
     def build(p):
-        a = T.reshape_seq_to_2d(p["p0"], (2, 2))
-        b = T.reshape_seq_to_2d(p["p1"], (2, 2))
+        a = T.transpose(T.reshape(p["p0"], (1, 2, 2, 2)), (0, 3, 1, 2))
+        b = T.transpose(T.reshape(p["p1"], (1, 2, 2, 2)), (0, 3, 1, 2))
         y = T.concat([a, b], axis=1)
-        return T.tsum(T.reshape_2d_to_seq(y) ** 3)
+        return T.tsum(T.reshape(T.transpose(y, (0, 2, 3, 1)), (1, 4, 4)) ** 3)
     _fd_case(build, [(1, 4, 2), (1, 4, 2)], 20)
 
 
@@ -403,8 +405,8 @@ def test_fd_gradient_handed_to_two_parents_is_not_aliased():
     (T.mul, [(3, 4), (4,)]),
     (T.div, [(3, 4), (3, 4)]),
     (T.matmul, [(2, 3, 4), (4, 5)]),
-    (T.conv2d_same, [(2, 3, 4, 4), (5, 3, 1, 1)]),
-    (T.conv2d_same, [(2, 3, 4, 4), (5, 3, 3, 3)]),
+    (lambda a, b: T.conv_rows(a, b, (4, 4)), [(2, 16, 3), (5, 3, 1, 1)]),
+    (lambda a, b: T.conv_rows(a, b, (4, 4)), [(2, 16, 3), (5, 3, 3, 3)]),
     (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 2)]),
 ], ids=["add", "sub", "mul", "div", "matmul", "conv_k1", "conv_k3", "concat"])
 def test_vjp_skips_the_gradient_of_a_frozen_parent(op, shapes):
