@@ -1,13 +1,13 @@
 """Vision-conditioned fusion of multi-level text features into per-level
 anomaly maps.
 
-For each vision level, a per-state gating MLP turns the level's global
-context vector into softmax weights over the N text levels; the weighted
-text features give that level its normal/abnormal descriptors, and a
-temperature softmax over patchwise cosine similarities yields the level
-map. The aggregated map is the plain mean across levels. A gateway built
-with `dynamic=False` has no gate and aligns vision level i one-hot to text
-level i.
+All N vision levels are gated at once, as one (level, image) grid: a
+per-state gating MLP turns each level's global context vector into softmax
+weights over the N text levels; the weighted text features give that level
+its normal/abnormal descriptors, and a temperature softmax over patchwise
+cosine similarities yields the level map. The aggregated map is the plain
+mean across levels. A gateway built with `dynamic=False` has no gate and
+aligns vision level i one-hot to text level i.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (Tensor, bilinear_upsample, concat, cosine, matmul, reshape, softmax, tanh,
-                     tmean)
+from .tensor import (Tensor, bilinear_upsample, concat, cosine, matmul, reshape, softmax, stack,
+                     tanh, tmean, tsum)
 
 STATES = ("normal", "abnormal")
 
@@ -24,7 +24,8 @@ STATES = ("normal", "abnormal")
 class AnomalyMap:
     """Per-level maps, their mean, and the pixel-resolution upsampling.
 
-    All map values lie strictly inside (0, 1). `fusion_weights[(i, s)]`
+    All map values lie strictly inside (0, 1). `per_level` holds detached
+    (B, H, W) views of the stacked level maps. `fusion_weights[(i, s)]`
     keeps the (B, N) weight rows used at level i for state index s, for
     diagnostics and tests.
     """
@@ -38,7 +39,6 @@ class AnomalyMap:
 
 class FusionGateway:
     def __init__(self, channels, n_groups, hidden, temperature, dynamic=True, rng=None):
-        self.channels = channels
         self.n_groups = n_groups
         self.temperature = temperature
         self.dynamic = dynamic
@@ -53,7 +53,7 @@ class FusionGateway:
                                         name=f"gateway.{state}.w2")
 
     def gate_logits(self, v_global, state):
-        """Two-layer gating MLP: (B, C) context -> (B, N) logits."""
+        """Two-layer gating MLP: (..., C) context -> (..., N) logits."""
         h = tanh(matmul(v_global, self.w1[state]))
         return matmul(h, self.w2[state])
 
@@ -63,56 +63,49 @@ class FusionGateway:
 
     def text_matrix(self, feats):
         """N per-level text features of shape (C,) as one (N, C) tensor."""
-        return concat([reshape(f, (1, self.channels)) for f in feats], axis=0)
+        return stack(feats)
 
     def fuse_text(self, weights, t_mat):
         """Convex combination of per-level text features.
 
-        weights: (B, N) Tensor rows summing to 1; t_mat: the (N, C) `text_matrix`.
+        weights: (..., N) Tensor rows summing to 1; t_mat: the (N, C) `text_matrix`.
         """
         return matmul(weights, t_mat)
 
-    def level_map(self, v_i, t_normal, t_abnormal, grid):
-        """Patchwise two-way softmax over cosine similarities at temperature;
-        the descriptors are per-image (B, C) rows."""
-        b, l, c = v_i.data.shape
+    def level_map(self, v, t_normal, t_abnormal, grid):
+        """Patchwise two-way softmax over cosine similarities at temperature:
+        (..., L, C) tokens against (..., C) descriptors give (..., H, W) maps."""
+        lead, (l, c) = v.data.shape[:-2], v.data.shape[-2:]
         if grid[0] * grid[1] != l:
             raise ShapeError(f"grid {grid} does not match {l} patches")
-        t = concat([reshape(d, (d.data.shape[0], 1, 1, c)) for d in (t_normal, t_abnormal)],
-                   axis=2)
-        sims = cosine(reshape(v_i, (b, l, 1, c)), t)  # (B, L, 2)
+        t = concat([reshape(d, d.data.shape[:-1] + (1, 1, c)) for d in (t_normal, t_abnormal)],
+                   axis=-2)
+        sims = cosine(reshape(v, lead + (l, 1, c)), t)  # (..., L, 2)
         probs = softmax(sims * (1.0 / self.temperature), axis=-1)
-        return reshape(probs[:, :, 1], (b, grid[0], grid[1]))
+        return reshape(probs[..., 1], lead + tuple(grid))
 
     def forward(self, v_list, t_feats, grid, pixel_hw):
-        """Per-level maps, their mean, and the upsampled mean."""
-        if len(v_list) != self.n_groups or len(t_feats) != self.n_groups:
-            raise ShapeError(f"expected {self.n_groups} levels")
-        b = v_list[0].data.shape[0]
+        """Per-level maps, their mean, and the upsampled mean; every stage runs
+        once on the (N, B, ...) stack of the levels."""
         n = self.n_groups
-        # each state's (N, C) text matrix, shared by every level
-        t_mats = [self.text_matrix([t_feats[j][s] for j in range(n)]) for s in range(len(STATES))]
-        per_level = []
+        if len(v_list) != n or len(t_feats) != n:
+            raise ShapeError(f"expected {n} levels")
+        v = stack(v_list)  # (N, B, L, C)
+        b = v.data.shape[1]
+        v_glob = tmean(v, axis=2)
+        fused = []
         weights_used = {}
-        for i in range(n):
-            v_glob = tmean(v_list[i], axis=1)
-            fused = []
-            for s in range(len(STATES)):
-                if self.dynamic:
-                    w = self.fusion_weights(v_glob, STATES[s])
-                else:
-                    row = np.zeros(n)
-                    row[i] = 1.0
-                    w = Tensor(np.broadcast_to(row, (b, n)).copy())
-                weights_used[(i, s)] = w.data.copy()
-                fused.append(self.fuse_text(w, t_mats[s]))
-            per_level.append(self.level_map(v_list[i], fused[0], fused[1], grid))
-        agg = per_level[0]
-        for m in per_level[1:]:
-            agg = agg + m
-        agg = agg * (1.0 / n)
+        for s, state in enumerate(STATES):
+            if self.dynamic:
+                w = self.fusion_weights(v_glob, state)
+            else:
+                w = Tensor(np.broadcast_to(np.eye(n)[:, None, :], (n, b, n)).copy())
+            weights_used.update({(i, s): w.data[i] for i in range(n)})
+            fused.append(self.fuse_text(w, self.text_matrix([t_feats[j][s] for j in range(n)])))
+        maps = self.level_map(v, fused[0], fused[1], grid)  # (N, B, H, W)
+        agg = tsum(maps, axis=0) * (1.0 / n)
         upsampled = bilinear_upsample(agg, pixel_hw)
-        return AnomalyMap(per_level, agg, upsampled, weights_used)
+        return AnomalyMap([Tensor(m) for m in maps.data], agg, upsampled, weights_used)
 
     def named_params(self):
         out = {}

@@ -11,7 +11,7 @@ computes the gradient of its input alone, never of its weights.
 
 A subgraph with no trainable input is a constant. The frozen prefix is
 such a subgraph: patchify plus the group-0 vision blocks for each image
-(`vision_prefix`), and the group-0 text blocks for each prompt
+(`vision_prefix`), and the group-0 text blocks on both prompts at once
 (`text_prefix`). The one forward path, `forward(vision_prefix, text)`,
 starts from the vision prefix and takes what `text_forward` computes from
 the text prefix. Callers that see the same images or prompts again compute
@@ -201,31 +201,29 @@ class GroupedModel:
         return Tensor(seq[None, :, :])
 
     def text_prefix(self):
-        """Each state's prompt through the group-0 text blocks: one (1, L, C)
-        tensor per state index."""
-        out = []
-        for state in STATES:
-            x = self.embed_prompt(state)
-            for block in self.text_groups[0]:
-                x = block(x)
-            out.append(x)
-        return tuple(out)
+        """Both prompts through the group-0 text blocks: one (S, L, C) tensor,
+        row s for state index s. The prompts have one length L."""
+        x = Tensor(np.concatenate([self.embed_prompt(state).data for state in STATES]))
+        for block in self.text_groups[0]:
+            x = block(x)
+        return x
 
     def text_forward(self, prefix):
-        """Per-state, per-group pooled text features, from the text prefix.
+        """Per-state, per-group pooled text features, from the text prefix;
+        each group's blocks and residual run once on both states.
 
         t_feats[g][s] is a (C,) tensor for group g and state index s. The
         final group's (normal, abnormal) pair, t_feats[-1], is the unfused
         anchor used for classification.
         """
-        t_feats = [[None] * len(STATES) for _ in range(self.config.n_groups)]
-        for s, x in enumerate(prefix):
-            for g in range(self.config.n_groups):
-                # group 0's blocks belong to the prefix
-                for block in self.text_groups[g] if g else ():
-                    x = block(x)
-                x = x + self.text_loras[g](x)
-                t_feats[g][s] = x[0, -1, :]
+        t_feats = []
+        x = prefix
+        for g in range(self.config.n_groups):
+            # group 0's blocks belong to the prefix
+            for block in self.text_groups[g] if g else ():
+                x = block(x)
+            x = x + self.text_loras[g](x)
+            t_feats.append([x[s, -1, :] for s in range(len(STATES))])
         return t_feats
 
     # ------------------------------------------------------------------

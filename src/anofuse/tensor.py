@@ -224,6 +224,13 @@ def concat(tensors, axis):
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
+def stack(tensors):
+    """Equal-shape tensors stacked along a new leading axis."""
+    tensors = list(tensors)
+    return _node(np.stack([t.data for t in tensors]), tensors,
+                 lambda g: tuple(gi if t.requires_grad else None for t, gi in zip(tensors, g)))
+
+
 def slice_tensor(a, idx):
     """Basic slicing only (no fancy indexing), so the VJP is a plain scatter."""
     def vjp(g):

@@ -143,6 +143,18 @@ def test_level_map_monotone_in_abnormal_similarity():
         prev = m
 
 
+def test_level_map_on_stacked_levels_equals_per_level_calls_bitwise():
+    gw = make_gateway(c=6, tau=0.07)
+    rng = np.random.default_rng(17)
+    v = rng.normal(size=(3, 2, 12, 6))
+    t_n, t_a = rng.normal(size=(2, 3, 2, 6))
+    stacked = gw.level_map(Tensor(v), Tensor(t_n), Tensor(t_a), (3, 4)).data
+    assert stacked.shape == (3, 2, 3, 4)
+    for i in range(3):
+        one = gw.level_map(Tensor(v[i]), Tensor(t_n[i]), Tensor(t_a[i]), (3, 4)).data
+        np.testing.assert_array_equal(stacked[i], one)
+
+
 def test_static_mode_ignores_gate_parameters():
     v_list, t_feats = rand_features(seed=9)
     gw1 = make_gateway(randomize=True, seed=10)
@@ -160,10 +172,14 @@ def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
     gw = make_gateway(randomize=True, seed=12)
     static_gw = make_gateway(dynamic=False)
     assert static_gw.named_params() == {}
-    # forward asks for the weights level by level, each level for both states
-    levels = iter(i for i in range(3) for _ in STATES)
-    monkeypatch.setattr(gw, "fusion_weights",
-                        lambda v, state: Tensor(np.eye(3)[[next(levels)] * 2]))
+    # forward asks for the weights once per state, for all levels at once:
+    # (N, B, N) rows, one-hot on the row's own level
+    calls = []
+
+    def one_hot(v_glob, state):
+        calls.append(state)
+        return Tensor(np.broadcast_to(np.eye(3)[:, None, :], v_glob.data.shape[:2] + (3,)).copy())
+    monkeypatch.setattr(gw, "fusion_weights", one_hot)
     with no_grad():
         forced = gw.forward(v_list, t_feats, (3, 3), (9, 9))
         static = static_gw.forward(v_list, t_feats, (3, 3), (9, 9))
@@ -171,6 +187,7 @@ def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
         np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(forced.aggregated.data, static.aggregated.data)
     np.testing.assert_array_equal(forced.upsampled.data, static.upsampled.data)
+    assert calls == list(STATES)
 
 
 def test_single_level_degenerates_to_plain_map():

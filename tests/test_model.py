@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from anofuse import model as model_module
 from anofuse.config import RunConfig
 from anofuse.errors import ShapeError
+from anofuse.losses import model_loss
 from anofuse.model import PROMPTS, VOCAB, TransformerBlock, build_model
 from anofuse.tensor import Tensor, grad, no_grad, tsum
 from anofuse.verify import block_composition, block_input_gradients, check_gradients
@@ -122,6 +124,23 @@ def test_text_forward_zero_init_matches_frozen_stack():
             np.testing.assert_array_equal(t_feats[g][s].data, x.data[0, -1, :])
 
 
+@pytest.mark.parametrize("cfg", [small_config(n_groups=3), RunConfig()], ids=["small", "default"])
+def test_stacked_text_forward_equals_each_prompt_alone_bitwise(cfg):
+    m = build_model(cfg)
+    rng = np.random.default_rng(18)
+    for lo in m.text_loras:
+        lo.w_up.data[:] = rng.normal(0, 0.5, lo.w_up.data.shape)
+    t_feats = m.text_forward(m.text_prefix())
+    for s, state in enumerate(("normal", "abnormal")):
+        x = m.embed_prompt(state)
+        for g in range(cfg.n_groups):
+            for blk in m.text_groups[g]:
+                x = blk(x)
+            x = x + m.text_loras[g](x)
+            np.testing.assert_array_equal(t_feats[g][s].data, x.data[0, -1, :])
+    assert not np.array_equal(t_feats[-1][0].data, t_feats[-1][1].data)
+
+
 def test_identical_prompts_give_identical_state_features():
     cfg = small_config()
     m = build_model(cfg)
@@ -198,9 +217,9 @@ def test_vocab_covers_prompts():
             assert w in VOCAB
 
 
-# (batch, tokens, channels, heads): the batch-32 training shape, a text
-# prompt, and a tiny shape with two heads
-BLOCK_SHAPES = [(32, 17, 64, 4), (1, 2, 64, 4), (2, 3, 8, 2)]
+# (batch, tokens, channels, heads): the batch-32 training shape, one text
+# prompt, both prompts stacked, and a tiny shape with two heads
+BLOCK_SHAPES = [(32, 17, 64, 4), (1, 2, 64, 4), (2, 2, 64, 4), (2, 3, 8, 2)]
 
 
 def _block_and_input(b, l, c, heads, seed=12):
@@ -275,3 +294,42 @@ def test_fused_block_is_one_node_whose_only_parent_is_its_input():
     # a constant input records nothing either
     y = blk(Tensor(x))
     assert not y.requires_grad and y._parents == () and y._vjp is None
+
+
+def _node_kinds(root, stop=()):
+    """Primitive name -> number of graph nodes reachable from `root`,
+    without walking into the tensors in `stop`."""
+    stop = {id(t) for t in stop}
+    seen, stack, kinds = set(), [root], Counter()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or id(node) in stop or node._vjp is None:
+            continue
+        seen.add(id(node))
+        kinds[node._vjp.__qualname__.split(".")[0]] += 1
+        stack.extend(node._parents)
+    return kinds
+
+
+def test_gateway_records_as_many_nodes_at_any_group_count():
+    kinds = []
+    for n in (2, 4):
+        cfg = small_config(n_groups=n)
+        m = build_model(cfg)
+        out = m.forward(m.vision_prefix(rand_images(cfg, 2, seed=19)),
+                        m.text_forward(m.text_prefix()))
+        inputs = out.v_list + [t for pair in out.t_feats for t in pair]
+        kinds.append(_node_kinds(out.amap.upsampled, inputs))
+    assert kinds[0] == kinds[1] and kinds[0]["softmax"] == 3  # two gates, one map
+
+
+def test_default_step_records_four_block_nodes():
+    # two vision groups and two text groups after the prefix, each one call
+    cfg = RunConfig()
+    m = build_model(cfg)
+    out = m.forward(m.vision_prefix(rand_images(cfg, 2, seed=20)),
+                    m.text_forward(m.text_prefix()))
+    masks = np.zeros((2, cfg.image_size, cfg.image_size))
+    masks[1, 4:12, 8:16] = 1.0
+    total, _, _ = model_loss(out, masks, np.array([0, 1]), cfg)
+    assert _node_kinds(total)["TransformerBlock"] == 4

@@ -373,6 +373,15 @@ def test_fd_concat_reshape_transpose():
     _fd_case(build, [(1, 4, 2), (1, 4, 2)], 20)
 
 
+def test_fd_stack_with_a_constant_member():
+    const = T.Tensor(np.random.default_rng(22).normal(size=(2, 3)))
+
+    def build(p):
+        y = T.stack([p["p0"], const, p["p1"]])  # (3, 2, 3)
+        return T.tsum(T.tanh(y * y) * y)
+    _fd_case(build, [(2, 3), (2, 3)], 23)
+
+
 def test_fd_upsample_log_clip():
     def build(p):
         m = T.reshape(p["p0"], (1, 3, 3))
