@@ -24,10 +24,10 @@ STATES = ("normal", "abnormal")
 class AnomalyMap:
     """Per-level maps, their mean, and the pixel-resolution upsampling.
 
-    All map values lie strictly inside (0, 1). `per_level` holds detached
-    (B, H, W) views of the stacked level maps. `fusion_weights[(i, s)]`
-    keeps the (B, N) weight rows used at level i for state index s, for
-    diagnostics and tests.
+    All map values lie strictly inside (0, 1). `per_level` is the (N, B, H, W)
+    Tensor of level maps. `fusion_weights` is the (S, N, B, N) array whose
+    [s, i] rows are the weights over the text levels used at level i for
+    state index s, kept for diagnostics and tests.
     """
 
     def __init__(self, per_level, aggregated, upsampled, fusion_weights):
@@ -52,25 +52,11 @@ class FusionGateway:
                 self.w2[state] = Tensor(np.zeros((hidden, n_groups)), trainable=True,
                                         name=f"gateway.{state}.w2")
 
-    def gate_logits(self, v_global, state):
-        """Two-layer gating MLP: (..., C) context -> (..., N) logits."""
-        h = tanh(matmul(v_global, self.w1[state]))
-        return matmul(h, self.w2[state])
-
     def fusion_weights(self, v_global, state):
-        """Softmax-normalized weights over the N text levels, per image."""
-        return softmax(self.gate_logits(v_global, state), axis=-1)
-
-    def text_matrix(self, feats):
-        """N per-level text features of shape (C,) as one (N, C) tensor."""
-        return stack(feats)
-
-    def fuse_text(self, weights, t_mat):
-        """Convex combination of per-level text features.
-
-        weights: (..., N) Tensor rows summing to 1; t_mat: the (N, C) `text_matrix`.
-        """
-        return matmul(weights, t_mat)
+        """Two-layer gating MLP and a softmax: (..., C) context -> (..., N)
+        weights over the text levels, per image."""
+        h = tanh(matmul(v_global, self.w1[state]))
+        return softmax(matmul(h, self.w2[state]), axis=-1)
 
     def level_map(self, v, t_normal, t_abnormal, grid):
         """Patchwise two-way softmax over cosine similarities at temperature:
@@ -85,27 +71,27 @@ class FusionGateway:
         return reshape(probs[..., 1], lead + tuple(grid))
 
     def forward(self, v_list, t_feats, grid, pixel_hw):
-        """Per-level maps, their mean, and the upsampled mean; every stage runs
-        once on the (N, B, ...) stack of the levels."""
+        """Per-level maps, their mean, and the upsampled mean from the N
+        (B, L, C) vision levels and the (N, S, C) text features; every stage
+        runs once on the (N, B, ...) stack of the levels."""
         n = self.n_groups
-        if len(v_list) != n or len(t_feats) != n:
+        if len(v_list) != n or len(t_feats.data) != n:
             raise ShapeError(f"expected {n} levels")
         v = stack(v_list)  # (N, B, L, C)
-        b = v.data.shape[1]
+        _, b, _, c = v.data.shape
+        if t_feats.data.shape != (n, len(STATES), c):
+            raise ShapeError(f"expected {(n, len(STATES), c)} text features, "
+                             f"got {t_feats.data.shape}")
         v_glob = tmean(v, axis=2)
-        fused = []
-        weights_used = {}
-        for s, state in enumerate(STATES):
-            if self.dynamic:
-                w = self.fusion_weights(v_glob, state)
-            else:
-                w = Tensor(np.broadcast_to(np.eye(n)[:, None, :], (n, b, n)).copy())
-            weights_used.update({(i, s): w.data[i] for i in range(n)})
-            fused.append(self.fuse_text(w, self.text_matrix([t_feats[j][s] for j in range(n)])))
-        maps = self.level_map(v, fused[0], fused[1], grid)  # (N, B, H, W)
+        if self.dynamic:
+            w = [self.fusion_weights(v_glob, state) for state in STATES]
+        else:
+            w = [Tensor(np.broadcast_to(np.eye(n)[:, None, :], (n, b, n)).copy())] * len(STATES)
+        normal, abnormal = (matmul(w[s], t_feats[:, s, :]) for s in range(len(STATES)))
+        maps = self.level_map(v, normal, abnormal, grid)  # (N, B, H, W)
         agg = tsum(maps, axis=0) * (1.0 / n)
         upsampled = bilinear_upsample(agg, pixel_hw)
-        return AnomalyMap([Tensor(m) for m in maps.data], agg, upsampled, weights_used)
+        return AnomalyMap(maps, agg, upsampled, np.stack([ws.data for ws in w]))
 
     def named_params(self):
         out = {}

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigurationError
-from .tensor import clip, concat, cosine, log, reshape, softmax, tmean, tsum
+from .tensor import clip, cosine, log, reshape, softmax, tmean, tsum
 
 CLAMP_EPS = 1e-7
 
@@ -43,10 +43,9 @@ def seg_loss(pred, target, cfg: RunConfig):
 
 def cls_probs(v_cls, anchor, temperature):
     """Two-way softmax over cosine similarities of the (B, C) rows to the
-    anchor pair: (B, 2)."""
+    (2, C) anchor pair: (B, 2)."""
     b, c = v_cls.data.shape
-    anchors = concat([reshape(t, (1, c)) for t in anchor], axis=0)
-    sims = cosine(reshape(v_cls, (b, 1, c)), anchors)
+    sims = cosine(reshape(v_cls, (b, 1, c)), anchor)
     return softmax(sims * (1.0 / temperature), axis=-1)
 
 

@@ -13,9 +13,10 @@ A subgraph with no trainable input is a constant. The frozen prefix is
 such a subgraph: patchify plus the group-0 vision blocks for each image
 (`vision_prefix`), and the group-0 text blocks on both prompts at once
 (`text_prefix`). The one forward path, `forward(vision_prefix, text)`,
-starts from the vision prefix and takes what `text_forward` computes from
-the text prefix. Callers that see the same images or prompts again compute
-the prefix once and pass it in; the model keeps no state between calls.
+starts from the vision prefix and takes the (N, S, C) text features that
+`text_forward` computes from the text prefix. Callers that see the same
+images or prompts again compute the prefix once and pass it in; the model
+keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ class GroupedModel:
         self.gateway = FusionGateway(c, n, config.resolved_gate_hidden(),
                                      config.temperature, dynamic=config.dfg_on, rng=rng)
 
-        self.prompt_ids = {state: tuple(VOCAB.index(w) for w in PROMPTS[state])
-                           for state in STATES}
+        # (S, L) token ids, row s for state index s
+        self.prompt_ids = np.array([[VOCAB.index(w) for w in PROMPTS[state]] for state in STATES])
 
     # ------------------------------------------------------------------
     # vision path
@@ -195,36 +196,32 @@ class GroupedModel:
     # ------------------------------------------------------------------
     # text path
 
-    def embed_prompt(self, state):
-        ids = self.prompt_ids[state]
-        seq = self.tok_embed.data[list(ids)] + self.txt_pos.data[:len(ids)]
-        return Tensor(seq[None, :, :])
-
     def text_prefix(self):
         """Both prompts through the group-0 text blocks: one (S, L, C) tensor,
         row s for state index s. The prompts have one length L."""
-        x = Tensor(np.concatenate([self.embed_prompt(state).data for state in STATES]))
+        x = Tensor(self.tok_embed.data[self.prompt_ids]
+                   + self.txt_pos.data[:self.prompt_ids.shape[1]])
         for block in self.text_groups[0]:
             x = block(x)
         return x
 
     def text_forward(self, prefix):
-        """Per-state, per-group pooled text features, from the text prefix;
-        each group's blocks and residual run once on both states.
+        """Pooled text features of every group and state, from the text
+        prefix; each group's blocks and residual run once on both states.
 
-        t_feats[g][s] is a (C,) tensor for group g and state index s. The
-        final group's (normal, abnormal) pair, t_feats[-1], is the unfused
-        anchor used for classification.
+        Returns one (N, S, C) tensor: row [g, s] is the last token of state
+        index s after group g. The final group's (S, C) (normal, abnormal)
+        pair, t_feats[-1], is the unfused anchor used for classification.
         """
-        t_feats = []
+        feats = []
         x = prefix
         for g in range(self.config.n_groups):
             # group 0's blocks belong to the prefix
             for block in self.text_groups[g] if g else ():
                 x = block(x)
             x = x + self.text_loras[g](x)
-            t_feats.append([x[s, -1, :] for s in range(len(STATES))])
-        return t_feats
+            feats.append(x[:, -1, :])
+        return tt.stack(feats)
 
     # ------------------------------------------------------------------
 

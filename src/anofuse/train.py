@@ -99,9 +99,14 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
         _, masks, labels = batch_arrays([train_samples[i] for i in idx])
         prefix = Tensor(np.stack([vision_rows[i] for i in idx]))
         try:
-            out = model.forward(prefix, model.text_forward(text_prefix))
-            total, seg, cls = model_loss(out, masks, labels, config)
-            grads = grad(total, model.trainable_params())
+            # numpy overflow, invalid or divide ends the run; Adam runs outside
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    out = model.forward(prefix, model.text_forward(text_prefix))
+                    total, seg, cls = model_loss(out, masks, labels, config)
+                    grads = grad(total, model.trainable_params())
+            except FloatingPointError as exc:
+                raise TrainingError(f"step {step}: numpy {exc}") from exc
             if not any(g.any() for g in grads.values()):
                 raise TrainingError(f"step {step}: every trainable gradient is exactly zero")
         except TrainingError as exc:
@@ -115,11 +120,11 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
 def predict(model, samples):
     """Batched no-grad inference over `samples`.
 
-    Returns (maps, scores, fusion_weights): the (N, H, W) upsampled anomaly
-    maps, the (N,) image scores, and for each (level, state index) the
-    (N, n_groups) fusion weight rows.
+    Returns (maps, scores, fusion_weights) of the M samples: the (M, H, W)
+    upsampled anomaly maps, the (M,) image scores, and the (S, N, M, N)
+    fusion weights, [s, i] the rows used at level i for state index s.
     """
-    maps, scores, weights = [], [], {}
+    maps, scores, weights = [], [], []
     with no_grad():
         text = model.text_forward(model.text_prefix())
         for start in range(0, len(samples), EVAL_BATCH):
@@ -129,10 +134,8 @@ def predict(model, samples):
             p_abn = cls_probs(out.v_cls, text[-1], model.config.temperature).data[:, 1]
             maps.append(up)
             scores.append(image_score(p_abn, up))
-            for key, rows in out.amap.fusion_weights.items():
-                weights.setdefault(key, []).append(rows)
-    return (np.concatenate(maps), np.concatenate(scores),
-            {key: np.concatenate(rows) for key, rows in weights.items()})
+            weights.append(out.amap.fusion_weights)
+    return np.concatenate(maps), np.concatenate(scores), np.concatenate(weights, axis=2)
 
 
 def evaluate(model, samples) -> MetricsReport:
@@ -141,7 +144,8 @@ def evaluate(model, samples) -> MetricsReport:
     _, masks, image_labels = batch_arrays(samples)
     pixel_scores = maps.reshape(-1)
     pixel_labels = masks.reshape(-1).astype(np.int64)
-    entropy = {(i, STATES[s]): gate_entropy(rows) for (i, s), rows in weights.items()}
+    entropy = {(i, state): gate_entropy(weights[s, i])
+               for s, state in enumerate(STATES) for i in range(weights.shape[1])}
     return MetricsReport(
         pixel_auroc=auroc(pixel_scores, pixel_labels),
         pixel_ap=average_precision(pixel_scores, pixel_labels),

@@ -198,8 +198,8 @@ def adapter_composition(x, adapter, grid):
 
 
 def gateway_composition(gateway, v_list, t_feats, grid):
-    """Per-level maps of a dynamic gateway: pool, gate, normalise, fuse,
-    cosine, two-way softmax at the gateway's temperature."""
+    """Per-level maps of a dynamic gateway on (N, S, C) text features: pool,
+    gate, normalise, fuse, cosine, two-way softmax at its temperature."""
     n = len(v_list)
     maps = []
     for i in range(n):
@@ -210,8 +210,7 @@ def gateway_composition(gateway, v_list, t_feats, grid):
         for s, state in enumerate(STATES):
             logits = np.tanh(vg @ gateway.w1[state].data) @ gateway.w2[state].data
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            t = (e / e.sum(axis=1, keepdims=True)) @ np.stack([t_feats[j][s].data
-                                                               for j in range(n)])
+            t = (e / e.sum(axis=1, keepdims=True)) @ t_feats.data[:, s, :]
             nt = np.sqrt((t * t).sum(axis=1))
             sims.append((v * t[:, None, :]).sum(axis=2) / (nv * nt[:, None]))
         z = np.stack(sims, axis=-1) / gateway.temperature
@@ -314,7 +313,7 @@ def run_selftest():
     for state in gw.w2:
         gw.w2[state].data[:] = rng.normal(0, 0.4, gw.w2[state].data.shape)
     v_list = [Tensor(rng.normal(size=(2, 9, 5))) for _ in range(2)]
-    t_feats = [[Tensor(rng.normal(size=(5,))) for _ in range(2)] for _ in range(2)]
+    t_feats = Tensor(rng.normal(size=(2, 2, 5)))
     with no_grad():
         amap = gw.forward(v_list, t_feats, (3, 3), (9, 9))
     maps = gateway_composition(gw, v_list, t_feats, (3, 3))

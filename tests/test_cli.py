@@ -88,6 +88,19 @@ def test_run_that_trains_nothing_is_one_error_line(tmp_path, capsys):
     assert err == ["error: step 0: every trainable gradient is exactly zero"]
 
 
+def test_overflow_in_a_step_is_one_error_line(tmp_path, capsys):
+    # at the default shape this learning rate overflows a product within a
+    # few steps; numpy would otherwise only warn and the run would exit 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--out", str(tmp_path), "--steps", "5", "--n_train", "8",
+                     "--n_test", "4", "--batch_size", "4", "--lr", "1e9"]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: step ")
+    assert "numpy overflow" in err[0]
+
+
 @pytest.mark.parametrize("override", [["--heads", "0"], ["--heads", "-1"],
                                       ["--patch_size", "0"], ["--patch_size", "-8"]],
                          ids=lambda o: f"{o[0][2:]}={o[1]}")

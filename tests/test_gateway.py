@@ -19,7 +19,7 @@ def make_gateway(c=6, n=3, hidden=4, tau=0.07, dynamic=True, seed=0, randomize=F
 def rand_features(c=6, n=3, b=2, l=9, seed=1):
     rng = np.random.default_rng(seed)
     v_list = [Tensor(rng.normal(size=(b, l, c))) for _ in range(n)]
-    t_feats = [[Tensor(rng.normal(size=(c,))) for _ in STATES] for _ in range(n)]
+    t_feats = Tensor(rng.normal(size=(n, len(STATES), c)))
     return v_list, t_feats
 
 
@@ -42,10 +42,9 @@ def test_fusion_weights_normalized_and_positive():
 def test_gate_output_shift_leaves_weights_unchanged():
     gw = make_gateway(randomize=True)
     v = Tensor(np.random.default_rng(4).normal(size=(3, 6)))
-    base = gw.fusion_weights(v, "normal").data.copy()
-    gw.w2["normal"].data += 0.0  # no-op guard
+    base = gw.fusion_weights(v, "normal").data
     # adding a constant to every logit: shift all output columns equally
-    logits = gw.gate_logits(v, "normal").data
+    logits = np.tanh(v.data @ gw.w1["normal"].data) @ gw.w2["normal"].data
     shifted = Tensor(logits + 7.5)
     np.testing.assert_allclose(softmax(shifted, axis=-1).data, base, rtol=0, atol=1e-12)
 
@@ -61,32 +60,19 @@ def test_peaked_logits_match_high_precision_oracle():
     assert abs(got[0] - 0.99991) < 1e-4
 
 
-def test_fuse_text_one_hot_selects_exactly():
-    gw = make_gateway()
-    _, t_feats = rand_features(seed=5)
-    feats = [t_feats[j][0] for j in range(3)]
-    for j in range(3):
-        w = np.zeros((2, 3))
-        w[:, j] = 1.0
-        fused = gw.fuse_text(Tensor(w), gw.text_matrix(feats)).data
-        np.testing.assert_array_equal(fused[0], feats[j].data)
-        np.testing.assert_array_equal(fused[1], feats[j].data)
-
-
-def test_fuse_text_identical_features_ignore_weights():
-    gw = make_gateway()
-    f = Tensor(np.random.default_rng(6).normal(size=(6,)))
-    feats = [f, f, f]
-    w = Tensor(np.array([[0.2, 0.5, 0.3]]))
-    fused = gw.fuse_text(w, gw.text_matrix(feats)).data
-    np.testing.assert_allclose(fused[0], f.data, rtol=0, atol=1e-12)
-
-
-def test_fuse_text_hand_linear_combination():
-    gw = FusionGateway(2, 2, 2, 0.07, dynamic=False)
-    feats = [Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0]))]
-    fused = gw.fuse_text(Tensor(np.array([[0.25, 0.75]])), gw.text_matrix(feats)).data
-    np.testing.assert_array_equal(fused, [[0.25, 0.75]])
+def test_forward_identical_text_levels_ignore_weights():
+    # every text level equal: any convex weights fuse to the same features
+    v_list, _ = rand_features(seed=5)
+    f = np.random.default_rng(6).normal(size=(len(STATES), 6))
+    t_feats = Tensor(np.broadcast_to(f, (3, len(STATES), 6)).copy())
+    gw = make_gateway(randomize=True, seed=7)
+    static_gw = make_gateway(dynamic=False)
+    with no_grad():
+        dyn = gw.forward(v_list, t_feats, (3, 3), (9, 9))
+        sta = static_gw.forward(v_list, t_feats, (3, 3), (9, 9))
+    assert np.abs(dyn.fusion_weights - sta.fusion_weights).max() > 0.1
+    np.testing.assert_allclose(dyn.per_level.data, sta.per_level.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dyn.upsampled.data, sta.upsampled.data, rtol=0, atol=1e-12)
 
 
 def test_forward_level_count_mismatch():
@@ -95,6 +81,8 @@ def test_forward_level_count_mismatch():
     for n_vision, n_text in ((3, 2), (2, 3)):
         with pytest.raises(ShapeError, match="expected 3 levels"):
             gw.forward(v_list[:n_vision], t_feats[:n_text], (3, 3), (6, 6))
+    with pytest.raises(ShapeError, match=r"expected \(3, 2, 6\) text features, got \(3, 1, 6\)"):
+        gw.forward(v_list, t_feats[:, :1, :], (3, 3), (6, 6))
 
 
 def test_level_map_equal_descriptors_give_half():
@@ -163,8 +151,7 @@ def test_static_mode_ignores_gate_parameters():
     with no_grad():
         m1 = gw1.forward(v_list, t_feats, (3, 3), (9, 9))
         m2 = gw2.forward(v_list, t_feats, (3, 3), (9, 9))
-    for a, b in zip(m1.per_level, m2.per_level):
-        np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(m1.per_level.data, m2.per_level.data)
 
 
 def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
@@ -183,8 +170,7 @@ def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
     with no_grad():
         forced = gw.forward(v_list, t_feats, (3, 3), (9, 9))
         static = static_gw.forward(v_list, t_feats, (3, 3), (9, 9))
-    for a, b in zip(forced.per_level, static.per_level):
-        np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(forced.per_level.data, static.per_level.data)
     np.testing.assert_array_equal(forced.aggregated.data, static.aggregated.data)
     np.testing.assert_array_equal(forced.upsampled.data, static.upsampled.data)
     assert calls == list(STATES)
@@ -196,13 +182,13 @@ def test_single_level_degenerates_to_plain_map():
     static_gw = FusionGateway(c, n, 4, 0.07, dynamic=False)
     rng = np.random.default_rng(14)
     v_list = [Tensor(rng.normal(size=(2, 4, c)))]
-    t_feats = [[Tensor(rng.normal(size=(c,))), Tensor(rng.normal(size=(c,)))]]
+    t_feats = Tensor(rng.normal(size=(n, len(STATES), c)))
     with no_grad():
         dyn = gw.forward(v_list, t_feats, (2, 2), (4, 4))
         sta = static_gw.forward(v_list, t_feats, (2, 2), (4, 4))
-        plain = gw.level_map(v_list[0], *(Tensor(t.data[None]) for t in t_feats[0]), (2, 2))
-    np.testing.assert_array_equal(dyn.per_level[0].data, sta.per_level[0].data)
-    np.testing.assert_array_equal(dyn.per_level[0].data, plain.data)
+        plain = gw.level_map(v_list[0], *(Tensor(t[None]) for t in t_feats.data[0]), (2, 2))
+    np.testing.assert_array_equal(dyn.per_level.data, sta.per_level.data)
+    np.testing.assert_array_equal(dyn.per_level.data[0], plain.data)
 
 
 def test_forward_composition_oracle():
@@ -215,7 +201,7 @@ def test_forward_composition_oracle():
         want = np.mean(maps, axis=0)
         assert np.abs(out.aggregated.data - want).max() < 1e-12
         for i in range(3):
-            assert np.abs(out.per_level[i].data - maps[i]).max() < 1e-12
+            assert np.abs(out.per_level.data[i] - maps[i]).max() < 1e-12
 
 
 def test_forward_invariants_ranges_and_weight_count():
@@ -223,10 +209,10 @@ def test_forward_invariants_ranges_and_weight_count():
     gw = make_gateway(randomize=True, seed=16)
     with no_grad():
         out = gw.forward(v_list, t_feats, (3, 3), (12, 12))
-    assert len(out.fusion_weights) == 2 * 3  # states x levels
-    for w in out.fusion_weights.values():
-        assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
-    for m in out.per_level + [out.aggregated]:
+    assert out.fusion_weights.shape == (2, 3, 2, 3)  # states x levels x images x levels
+    assert np.abs(out.fusion_weights.sum(axis=-1) - 1.0).max() < 1e-12
+    assert out.per_level.data.shape == (3, 2, 3, 3)
+    for m in (out.per_level, out.aggregated):
         assert (m.data > 0).all() and (m.data < 1).all()
     assert out.upsampled.data.min() >= out.aggregated.data.min() - 1e-12
     assert out.upsampled.data.max() <= out.aggregated.data.max() + 1e-12

@@ -84,7 +84,7 @@ def test_seg_loss_switches_and_additivity():
 
 def test_cls_equidistant_gives_ln2():
     v = Tensor(np.array([[1.0, 1.0]]))
-    anchor = (Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 1.0])))
+    anchor = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     for label in (0, 1):
         got = float(cls_loss(v, anchor, 0.5, np.array([label])).data)
         assert abs(got - math.log(2.0)) < 1e-12
@@ -92,7 +92,7 @@ def test_cls_equidistant_gives_ln2():
 
 def test_cls_aligned_abnormal_scalar_oracle():
     v = Tensor(np.array([[1.0, 0.0]]))
-    anchor = (Tensor(np.array([0.0, 1.0])), Tensor(np.array([1.0, 0.0])))
+    anchor = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
     got = float(cls_loss(v, anchor, 1.0, np.array([1])).data)
     sigma = math.exp(1.0) / (math.exp(0.0) + math.exp(1.0))
     assert abs(got + math.log(sigma)) < 1e-12
@@ -101,18 +101,18 @@ def test_cls_aligned_abnormal_scalar_oracle():
 def test_cls_anchor_swap_with_label_swap_is_symmetric():
     rng = np.random.default_rng(4)
     v = Tensor(rng.normal(size=(3, 6)))
-    a = Tensor(rng.normal(size=(6,)))
-    b = Tensor(rng.normal(size=(6,)))
+    a = rng.normal(size=(6,))
+    b = rng.normal(size=(6,))
     labels = np.array([0, 1, 0])
-    l1 = float(cls_loss(v, (a, b), 0.07, labels).data)
-    l2 = float(cls_loss(v, (b, a), 0.07, 1 - labels).data)
+    l1 = float(cls_loss(v, Tensor(np.stack([a, b])), 0.07, labels).data)
+    l2 = float(cls_loss(v, Tensor(np.stack([b, a])), 0.07, 1 - labels).data)
     assert abs(l1 - l2) < 1e-12
 
 
 def test_cls_probs_rows_normalized():
     rng = np.random.default_rng(5)
     v = Tensor(rng.normal(size=(4, 6)))
-    anchor = (Tensor(rng.normal(size=(6,))), Tensor(rng.normal(size=(6,))))
+    anchor = Tensor(rng.normal(size=(2, 6)))
     p = cls_probs(v, anchor, 0.07).data
     assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
     assert (p > 0).all()

@@ -112,16 +112,23 @@ def test_vision_forward_staged_oracle_with_live_adapters():
     np.testing.assert_array_equal(v_cls.data, x.data[:, 0, :])
 
 
+def embed_alone(m, state):
+    """One prompt's (1, L, C) token embeddings, looked up word by word."""
+    ids = [VOCAB.index(w) for w in PROMPTS[state]]
+    return Tensor((m.tok_embed.data[ids] + m.txt_pos.data[:len(ids)])[None])
+
+
 def test_text_forward_zero_init_matches_frozen_stack():
     cfg = small_config()
     m = build_model(cfg)
     t_feats = m.text_forward(m.text_prefix())
+    assert t_feats.data.shape == (cfg.n_groups, 2, cfg.channels)
     for s, state in enumerate(("normal", "abnormal")):
-        x = m.embed_prompt(state)
+        x = embed_alone(m, state)
         for g in range(cfg.n_groups):
             for blk in m.text_groups[g]:
                 x = blk(x)
-            np.testing.assert_array_equal(t_feats[g][s].data, x.data[0, -1, :])
+            np.testing.assert_array_equal(t_feats.data[g, s], x.data[0, -1, :])
 
 
 @pytest.mark.parametrize("cfg", [small_config(n_groups=3), RunConfig()], ids=["small", "default"])
@@ -132,22 +139,22 @@ def test_stacked_text_forward_equals_each_prompt_alone_bitwise(cfg):
         lo.w_up.data[:] = rng.normal(0, 0.5, lo.w_up.data.shape)
     t_feats = m.text_forward(m.text_prefix())
     for s, state in enumerate(("normal", "abnormal")):
-        x = m.embed_prompt(state)
+        x = embed_alone(m, state)
         for g in range(cfg.n_groups):
             for blk in m.text_groups[g]:
                 x = blk(x)
             x = x + m.text_loras[g](x)
-            np.testing.assert_array_equal(t_feats[g][s].data, x.data[0, -1, :])
-    assert not np.array_equal(t_feats[-1][0].data, t_feats[-1][1].data)
+            np.testing.assert_array_equal(t_feats.data[g, s], x.data[0, -1, :])
+    assert not np.array_equal(t_feats.data[-1, 0], t_feats.data[-1, 1])
 
 
 def test_identical_prompts_give_identical_state_features():
     cfg = small_config()
     m = build_model(cfg)
-    m.prompt_ids["abnormal"] = m.prompt_ids["normal"]
+    m.prompt_ids[1] = m.prompt_ids[0]
     t_feats = m.text_forward(m.text_prefix())
     for g in range(cfg.n_groups):
-        np.testing.assert_array_equal(t_feats[g][0].data, t_feats[g][1].data)
+        np.testing.assert_array_equal(t_feats.data[g, 0], t_feats.data[g, 1])
 
 
 def test_build_determinism_and_seed_sensitivity():
@@ -195,7 +202,7 @@ def test_group_counts_build_and_run(n):
     with no_grad():
         out = m.forward(m.vision_prefix(rand_images(cfg, 1, seed=10)),
                         m.text_forward(m.text_prefix()))
-    assert len(out.amap.per_level) == n
+    assert out.amap.per_level.data.shape == (n, 1) + m.grid
 
 
 def test_batch_permutation_equivariance():
@@ -318,13 +325,20 @@ def test_gateway_records_as_many_nodes_at_any_group_count():
         m = build_model(cfg)
         out = m.forward(m.vision_prefix(rand_images(cfg, 2, seed=19)),
                         m.text_forward(m.text_prefix()))
-        inputs = out.v_list + [t for pair in out.t_feats for t in pair]
+        inputs = out.v_list + [out.t_feats]
         kinds.append(_node_kinds(out.amap.upsampled, inputs))
     assert kinds[0] == kinds[1] and kinds[0]["softmax"] == 3  # two gates, one map
 
 
-def test_default_step_records_four_block_nodes():
-    # two vision groups and two text groups after the prefix, each one call
+def test_text_forward_records_one_stack_and_one_slice_per_group():
+    for n in (2, 4):
+        m = build_model(small_config(n_groups=n))
+        prefix = m.text_prefix()
+        kinds = _node_kinds(m.text_forward(prefix), [prefix])
+        assert kinds["stack"] == 1 and kinds["slice_tensor"] == n
+
+
+def _default_step_kinds():
     cfg = RunConfig()
     m = build_model(cfg)
     out = m.forward(m.vision_prefix(rand_images(cfg, 2, seed=20)),
@@ -332,4 +346,14 @@ def test_default_step_records_four_block_nodes():
     masks = np.zeros((2, cfg.image_size, cfg.image_size))
     masks[1, 4:12, 8:16] = 1.0
     total, _, _ = model_loss(out, masks, np.array([0, 1]), cfg)
-    assert _node_kinds(total)["TransformerBlock"] == 4
+    return _node_kinds(total)
+
+
+def test_default_step_records_four_block_nodes():
+    # two vision groups and two text groups after the prefix, each one call
+    assert _default_step_kinds()["TransformerBlock"] == 4
+
+
+def test_default_step_records_two_stack_nodes():
+    # the vision levels in the gateway and the text features in text_forward
+    assert _default_step_kinds()["stack"] == 2

@@ -47,8 +47,7 @@ def test_predict_equals_forward_batch_by_batch():
             p_abn = cls_probs(out.v_cls, out.t_feats[-1], model.config.temperature).data[:, 1]
             assert np.array_equal(maps[start:end], up)
             assert np.array_equal(scores[start:end], image_score(p_abn, up))
-            for key, rows in out.amap.fusion_weights.items():
-                assert np.array_equal(weights[key][start:end], rows)
+            assert np.array_equal(weights[:, :, start:end], out.amap.fusion_weights)
 
 
 def test_diverging_run_keeps_trace_and_parameter_snapshot():
