@@ -40,16 +40,16 @@ class ConvLoraAdapter:
         self.fuse_1x1 = Tensor(rng.normal(0.0, n_in ** -0.5, (c, n_in, 1, 1)), trainable=True,
                                name=f"{name}.fuse_1x1")
 
-    def branch_forward(self, x, k, grid):
-        """One branch: bottleneck, two 1/k-scaled k x k convs, up-projection."""
-        z = matmul(x, self.w_down)
+    def branch_forward(self, z, k, grid):
+        """One branch from the bottleneck rows z: two 1/k-scaled k x k convs, up-projection."""
         z = conv_rows(z, self.conv_down[k], grid) * (1.0 / k)
         z = conv_rows(z, self.conv_up[k], grid) * (1.0 / k)
         return matmul(z, self.w_up)
 
     def forward(self, x, grid):
         """Residual update for (B, L, C) tokens; caller adds it to x."""
-        branches = [self.branch_forward(x, k, grid) for k in self.branch_kernels]
+        z = matmul(x, self.w_down)
+        branches = [self.branch_forward(z, k, grid) for k in self.branch_kernels]
         return conv_rows(concat(branches, axis=-1), self.fuse_1x1, grid)
 
     __call__ = forward

@@ -84,6 +84,8 @@ class RunConfig:
         for k in self.branch_kernels:
             if k < 1 or k % 2 == 0:
                 bad.append(f"branch kernel {k} (need odd, >= 1)")
+        if len(set(self.branch_kernels)) != len(self.branch_kernels):
+            bad.append(f"branch_kernels={self.branch_kernels} repeats a size")
         if self.temperature <= 0:
             bad.append(f"temperature={self.temperature} (need > 0)")
         if self.gate_hidden < 0:
@@ -116,6 +118,8 @@ class RunConfig:
             bad.append(f"n_train={self.n_train}, n_test={self.n_test} (need >= 1)")
         if self.texture not in ("noise", "sinusoid", "mixed"):
             bad.append(f"texture={self.texture!r} (noise|sinusoid|mixed)")
+        bad += [f"{k}={v} (need >= 0)" for k in ("model_seed", "data_seed")
+                if (v := getattr(self, k)) < 0]
         if bad:
             raise ConfigurationError("invalid config: " + "; ".join(bad))
         return self

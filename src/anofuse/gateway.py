@@ -4,10 +4,10 @@ anomaly maps.
 All N vision levels are gated at once, as one (level, image) grid: a
 per-state gating MLP turns each level's global context vector into softmax
 weights over the N text levels; the weighted text features give that level
-its normal/abnormal descriptors, and a temperature softmax over patchwise
-cosine similarities yields the level map. The aggregated map is the plain
-mean across levels. A gateway built with `dynamic=False` has no gate and
-aligns vision level i one-hot to text level i.
+its (S, C) normal/abnormal descriptors, and `state_probs` (the one head,
+which also scores the class token) yields the level map. The aggregated
+map is the plain mean across levels. A gateway built with `dynamic=False`
+has no gate and aligns vision level i one-hot to text level i.
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ from .tensor import (Tensor, bilinear_upsample, concat, cosine, matmul, reshape,
                      tanh, tmean, tsum)
 
 STATES = ("normal", "abnormal")
+
+
+def state_probs(x, t, temperature):
+    """(..., L, S) softmax at `temperature` over the cosine similarities of
+    the (..., L, C) rows x to the (..., S, C) state descriptors t."""
+    return softmax(cosine(x, t) * (1.0 / temperature), axis=-1)
 
 
 class AnomalyMap:
@@ -58,17 +64,13 @@ class FusionGateway:
         h = tanh(matmul(v_global, self.w1[state]))
         return softmax(matmul(h, self.w2[state]), axis=-1)
 
-    def level_map(self, v, t_normal, t_abnormal, grid):
-        """Patchwise two-way softmax over cosine similarities at temperature:
-        (..., L, C) tokens against (..., C) descriptors give (..., H, W) maps."""
-        lead, (l, c) = v.data.shape[:-2], v.data.shape[-2:]
+    def level_map(self, v, t, grid):
+        """The abnormal column of `state_probs` for (..., L, C) tokens against
+        (..., S, C) descriptors, as (..., H, W) maps."""
+        lead, l = v.data.shape[:-2], v.data.shape[-2]
         if grid[0] * grid[1] != l:
             raise ShapeError(f"grid {grid} does not match {l} patches")
-        t = concat([reshape(d, d.data.shape[:-1] + (1, 1, c)) for d in (t_normal, t_abnormal)],
-                   axis=-2)
-        sims = cosine(reshape(v, lead + (l, 1, c)), t)  # (..., L, 2)
-        probs = softmax(sims * (1.0 / self.temperature), axis=-1)
-        return reshape(probs[..., 1], lead + tuple(grid))
+        return reshape(state_probs(v, t, self.temperature)[..., 1], lead + tuple(grid))
 
     def forward(self, v_list, t_feats, grid, pixel_hw):
         """Per-level maps, their mean, and the upsampled mean from the N
@@ -87,8 +89,9 @@ class FusionGateway:
             w = [self.fusion_weights(v_glob, state) for state in STATES]
         else:
             w = [Tensor(np.broadcast_to(np.eye(n)[:, None, :], (n, b, n)).copy())] * len(STATES)
-        normal, abnormal = (matmul(w[s], t_feats[:, s, :]) for s in range(len(STATES)))
-        maps = self.level_map(v, normal, abnormal, grid)  # (N, B, H, W)
+        t = concat([reshape(matmul(w[s], t_feats[:, s, :]), (n, b, 1, c))
+                    for s in range(len(STATES))], axis=2)  # (N, B, S, C)
+        maps = self.level_map(v, t, grid)  # (N, B, H, W)
         agg = tsum(maps, axis=0) * (1.0 / n)
         upsampled = bilinear_upsample(agg, pixel_hw)
         return AnomalyMap(maps, agg, upsampled, np.stack([ws.data for ws in w]))

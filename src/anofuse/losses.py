@@ -1,6 +1,6 @@
 """Composite objective: focal + dice segmentation loss on the aggregated
-map, cosine cross-entropy classification against the unfused final-group
-text anchor, and the inference-time image score."""
+map plus the cross-entropy of the gateway's `state_probs` head on the class
+token against the unfused final-group text anchor; and the image score."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigurationError
-from .tensor import clip, cosine, log, reshape, softmax, tmean, tsum
+from .gateway import state_probs
+from .tensor import clip, log, tmean, tsum
 
 CLAMP_EPS = 1e-7
 
@@ -41,28 +42,15 @@ def seg_loss(pred, target, cfg: RunConfig):
             + dice_loss(pred, target, cfg.dice_smooth) * cfg.lambda_dice)
 
 
-def cls_probs(v_cls, anchor, temperature):
-    """Two-way softmax over cosine similarities of the (B, C) rows to the
-    (2, C) anchor pair: (B, 2)."""
-    b, c = v_cls.data.shape
-    sims = cosine(reshape(v_cls, (b, 1, c)), anchor)
-    return softmax(sims * (1.0 / temperature), axis=-1)
-
-
 def cls_loss(v_cls, anchor, temperature, labels):
-    """Cross-entropy of the anchor-pair softmax against the image labels."""
+    """Cross-entropy of the (B, C) rows' state probabilities against the
+    (S, C) anchor for the image labels."""
     labels = np.asarray(labels)
-    probs = cls_probs(v_cls, anchor, temperature)
+    probs = state_probs(v_cls, anchor, temperature)
     onehot = np.zeros((labels.shape[0], 2))
     onehot[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
     picked = tsum(probs * onehot, axis=1)
     return -tmean(log(clip(picked, CLAMP_EPS * CLAMP_EPS, 1.0)))
-
-
-def total_loss(seg, cls, cfg: RunConfig):
-    """Weighted sum; a non-finite result is caught by `tensor.grad`, which
-    raises TrainingError with a snapshot of the parameters."""
-    return seg + cls * cfg.lambda_cls
 
 
 def image_score(p_abnormal, upsampled_map):
@@ -73,8 +61,9 @@ def image_score(p_abnormal, upsampled_map):
 
 
 def model_loss(out, masks, labels, cfg: RunConfig):
-    """Total, segmentation, and classification losses of the model outputs
-    `out` on one batch; `cfg` is the config the model was built from."""
+    """Total (seg + lambda_cls * cls), segmentation, and classification losses
+    of the model outputs `out` on one batch; `cfg` built the model. A
+    non-finite total is caught by `tensor.grad` (TrainingError)."""
     seg = seg_loss(out.amap.upsampled, masks, cfg)
     cls = cls_loss(out.v_cls, out.t_feats[-1], cfg.temperature, labels)
-    return total_loss(seg, cls, cfg), seg, cls
+    return seg + cls * cfg.lambda_cls, seg, cls

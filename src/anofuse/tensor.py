@@ -409,11 +409,13 @@ NORM_FLOOR = 1e-30
 
 
 def cosine(u, v):
-    """Cosine similarity along the last axis of two broadcastable tensors;
-    the result has their broadcast shape without that axis."""
-    nu = sqrt(clip(tsum(u * u, axis=-1), NORM_FLOOR, np.inf))
-    nv = sqrt(clip(tsum(v * v, axis=-1), NORM_FLOOR, np.inf))
-    return tsum(u * v, axis=-1) / (nu * nv)
+    """Cosine similarity of every row of u (..., L, C) with every row of v
+    (..., S, C): one (..., L, S) matmul over C; leading axes broadcast."""
+    nd = v.data.ndim
+    vt = transpose(v, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+    nu = sqrt(clip(tsum(u * u, axis=-1, keepdims=True), NORM_FLOOR, np.inf))
+    nv = sqrt(clip(tsum(vt * vt, axis=-2, keepdims=True), NORM_FLOOR, np.inf))
+    return matmul(u, vt) / (nu * nv)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ import numpy as np
 from .config import RunConfig
 from .data import batch_arrays, get_corpora
 from .errors import TrainingError
-from .gateway import STATES
-from .losses import cls_probs, image_score, model_loss
+from .gateway import STATES, state_probs
+from .losses import image_score, model_loss
 from .metrics import MetricsReport, auroc, average_precision, gate_entropy
 from .model import build_model
 from .tensor import Tensor, grad, no_grad
@@ -131,7 +131,7 @@ def predict(model, samples):
             images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
             out = model.forward(model.vision_prefix(images), text)
             up = out.amap.upsampled.data
-            p_abn = cls_probs(out.v_cls, text[-1], model.config.temperature).data[:, 1]
+            p_abn = state_probs(out.v_cls, text[-1], model.config.temperature).data[:, 1]
             maps.append(up)
             scores.append(image_score(p_abn, up))
             weights.append(out.amap.fusion_weights)

@@ -18,8 +18,9 @@ def make_adapter(channels=4, rank=2, kernels=(3, 5), seed=0, randomize_up=False)
 def test_zero_init_branch_and_adapter_are_zero():
     ad = make_adapter()
     x = T.Tensor(np.random.default_rng(1).normal(size=(2, 9, 4)))
+    z = T.matmul(x, ad.w_down)
     for k in ad.branch_kernels:
-        assert (ad.branch_forward(x, k, (3, 3)).data == 0).all()
+        assert (ad.branch_forward(z, k, (3, 3)).data == 0).all()
     assert (ad(x, (3, 3)).data == 0).all()
 
 
@@ -48,7 +49,7 @@ def test_branch_matches_composition_oracle():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(1, 9, 4))
     for k in ad.branch_kernels:
-        got = ad.branch_forward(T.Tensor(x), k, (3, 3)).data
+        got = ad.branch_forward(T.Tensor(x @ ad.w_down.data), k, (3, 3)).data
         want = adapter_branch_composition(x, ad, k, (3, 3))
         assert np.abs(got - want).max() < 1e-12
         assert got.shape == (1, 9, 4)
@@ -150,7 +151,8 @@ def test_one_call_records_no_layout_nodes():
         seen.add(id(node))
         kinds[node._vjp.__qualname__.split(".")[0]] += 1
         stack.extend(node._parents)
-    assert kinds == {"conv_rows": 5, "matmul": 4, "mul": 4, "concat": 1}
+    # one shared down-projection, one up-projection per branch
+    assert kinds == {"conv_rows": 5, "matmul": 3, "mul": 4, "concat": 1}
 
 
 def test_low_rank_adapter_zero_init_and_forward():

@@ -110,6 +110,20 @@ def test_non_positive_heads_or_patch_size_is_one_error_line(tmp_path, override, 
     assert err == [f"error: invalid config: {override[0][2:]}={override[1]} (need >= 1)"]
 
 
+@pytest.mark.parametrize("command,override,message", [
+    ("train", ["--model_seed", "-1"], "model_seed=-1 (need >= 0)"),
+    ("train", ["--data_seed", "-1"], "data_seed=-1 (need >= 0)"),
+    ("gen", ["--data_seed", "-1"], "data_seed=-1 (need >= 0)"),
+    ("ablate", ["--data_seed", "-1"], "data_seed=-1 (need >= 0)"),
+    ("train", ["--branch_kernels", "3,3"], "branch_kernels=(3, 3) repeats a size"),
+], ids=["train-model_seed", "train-data_seed", "gen-data_seed", "ablate-data_seed",
+        "train-repeated_kernel"])
+def test_negative_seed_or_repeated_kernel_is_one_error_line(tmp_path, command, override,
+                                                            message, capsys):
+    assert main([command, "--out", str(tmp_path)] + TINY + override) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: invalid config: {message}"]
+
+
 def test_size_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
     # (16, 10**15) float64 weights exceed any address space, so the
     # allocation fails at once without touching memory

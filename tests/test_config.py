@@ -79,10 +79,21 @@ def test_loss_settings_validated_with_the_run():
     ({"temperature": 0.0}, "temperature=0.0"),
     ({"branch_kernels": ()}, "branch_kernels is empty"),
     ({"branch_kernels": (3, 4)}, "branch kernel 4"),
-], ids=["rank_equals_channels", "zero_temperature", "no_kernels", "even_kernel"])
+    # a repeated size would share one conv pair between two branches
+    ({"branch_kernels": (3, 5, 3)}, re.escape("branch_kernels=(3, 5, 3) repeats a size")),
+], ids=["rank_equals_channels", "zero_temperature", "no_kernels", "even_kernel",
+        "repeated_kernel"])
 def test_adapter_and_gateway_settings_validated(override, message):
     with pytest.raises(ConfigurationError, match=message):
         RunConfig(**override).validate()
+
+
+@pytest.mark.parametrize("key", ["model_seed", "data_seed"])
+def test_negative_seed_rejected(key):
+    # numpy's generators take non-negative seeds only
+    with pytest.raises(ConfigurationError, match=re.escape(f"{key}=-1 (need >= 0)")):
+        RunConfig(**{key: -1}).validate()
+    RunConfig(**{key: 0}).validate()
 
 
 SMALL_IMAGES = {"image_size": 4, "patch_size": 4, "defect_min": 1, "defect_max": 4}

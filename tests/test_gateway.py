@@ -89,8 +89,8 @@ def test_level_map_equal_descriptors_give_half():
     gw = make_gateway()
     rng = np.random.default_rng(8)
     v = Tensor(rng.normal(size=(2, 9, 6)))
-    t = Tensor(rng.normal(size=(2, 6)))
-    m = gw.level_map(v, t, t, (3, 3)).data
+    t = rng.normal(size=(2, 1, 6))
+    m = gw.level_map(v, Tensor(np.concatenate([t, t], axis=1)), (3, 3)).data
     np.testing.assert_array_equal(m, np.full((2, 3, 3), 0.5))
 
 
@@ -99,9 +99,8 @@ def test_level_map_sigmoid_scalar_oracle():
     gw = make_gateway(c=2, tau=1.0)
     # patch aligned with abnormal descriptor, orthogonal to normal
     v = Tensor(np.array([[[1.0, 0.0]] * 4]))
-    t_n = Tensor(np.array([[0.0, 1.0]]))
-    t_a = Tensor(np.array([[1.0, 0.0]]))
-    m = gw.level_map(v, t_n, t_a, (2, 2)).data
+    t = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))  # normal, abnormal
+    m = gw.level_map(v, t, (2, 2)).data
     want = math.exp(1.0) / (math.exp(0.0) + math.exp(1.0))
     np.testing.assert_allclose(m, want, rtol=1e-12)
     assert abs(want - 0.7311) < 1e-4
@@ -111,22 +110,20 @@ def test_level_map_sharpens_as_temperature_drops():
     gw_hot = make_gateway(c=2, tau=1.0)
     gw_cold = make_gateway(c=2, tau=0.01)
     v = Tensor(np.array([[[1.0, 0.2]] * 4]))
-    t_n = Tensor(np.array([[0.0, 1.0]]))
-    t_a = Tensor(np.array([[1.0, 0.0]]))
-    hot = gw_hot.level_map(v, t_n, t_a, (2, 2)).data
-    cold = gw_cold.level_map(v, t_n, t_a, (2, 2)).data
+    t = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    hot = gw_hot.level_map(v, t, (2, 2)).data
+    cold = gw_cold.level_map(v, t, (2, 2)).data
     assert (cold > hot).all() and cold.max() > 0.999
 
 
 def test_level_map_monotone_in_abnormal_similarity():
     gw = make_gateway(c=3, tau=0.5)
-    t_n = Tensor(np.array([[0.0, 0.0, 1.0]]))
-    t_a = Tensor(np.array([[1.0, 0.0, 0.0]]))
+    t = Tensor(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
     prev = -1.0
     for alpha in np.linspace(0.1, 0.9, 7):
-        # v orthogonal to t_n always; cos(v, t_a) = alpha
+        # v orthogonal to the normal row t[0] always; cos(v, t[1]) = alpha
         v = np.array([[[alpha, np.sqrt(1 - alpha * alpha), 0.0]] * 4])
-        m = gw.level_map(Tensor(v), t_n, t_a, (2, 2)).data[0, 0, 0]
+        m = gw.level_map(Tensor(v), t, (2, 2)).data[0, 0, 0]
         assert m > prev
         prev = m
 
@@ -135,11 +132,11 @@ def test_level_map_on_stacked_levels_equals_per_level_calls_bitwise():
     gw = make_gateway(c=6, tau=0.07)
     rng = np.random.default_rng(17)
     v = rng.normal(size=(3, 2, 12, 6))
-    t_n, t_a = rng.normal(size=(2, 3, 2, 6))
-    stacked = gw.level_map(Tensor(v), Tensor(t_n), Tensor(t_a), (3, 4)).data
+    t = rng.normal(size=(3, 2, 2, 6))  # (N, B, S, C)
+    stacked = gw.level_map(Tensor(v), Tensor(t), (3, 4)).data
     assert stacked.shape == (3, 2, 3, 4)
     for i in range(3):
-        one = gw.level_map(Tensor(v[i]), Tensor(t_n[i]), Tensor(t_a[i]), (3, 4)).data
+        one = gw.level_map(Tensor(v[i]), Tensor(t[i]), (3, 4)).data
         np.testing.assert_array_equal(stacked[i], one)
 
 
@@ -186,7 +183,7 @@ def test_single_level_degenerates_to_plain_map():
     with no_grad():
         dyn = gw.forward(v_list, t_feats, (2, 2), (4, 4))
         sta = static_gw.forward(v_list, t_feats, (2, 2), (4, 4))
-        plain = gw.level_map(v_list[0], *(Tensor(t[None]) for t in t_feats.data[0]), (2, 2))
+        plain = gw.level_map(v_list[0], Tensor(t_feats.data[0]), (2, 2))
     np.testing.assert_array_equal(dyn.per_level.data, sta.per_level.data)
     np.testing.assert_array_equal(dyn.per_level.data[0], plain.data)
 

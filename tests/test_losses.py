@@ -1,12 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from anofuse.config import RunConfig
 from anofuse.errors import ConfigurationError
-from anofuse.losses import (cls_loss, cls_probs, dice_loss, focal_loss, image_score,
-                            seg_loss, total_loss)
+from anofuse.gateway import state_probs
+from anofuse.losses import cls_loss, dice_loss, focal_loss, image_score, model_loss, seg_loss
 from anofuse.tensor import Tensor
 from anofuse.verify import half_bce
 
@@ -113,17 +114,23 @@ def test_cls_probs_rows_normalized():
     rng = np.random.default_rng(5)
     v = Tensor(rng.normal(size=(4, 6)))
     anchor = Tensor(rng.normal(size=(2, 6)))
-    p = cls_probs(v, anchor, 0.07).data
+    p = state_probs(v, anchor, 0.07).data
+    assert p.shape == (4, 2)
     assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
     assert (p > 0).all()
 
 
 def test_total_loss_weighting():
-    cfg = RunConfig()
-    assert abs(float(total_loss(Tensor(np.array(0.3)), Tensor(np.array(0.7)), cfg).data)
-               - 1.0) < 1e-15
-    off = RunConfig(lambda_cls=0.0)
-    assert float(total_loss(Tensor(np.array(0.3)), Tensor(np.array(9.9)), off).data) == 0.3
+    rng = np.random.default_rng(6)
+    out = SimpleNamespace(amap=SimpleNamespace(upsampled=Tensor(rng.uniform(0.1, 0.9, (2, 4, 4)))),
+                          v_cls=Tensor(rng.normal(size=(2, 6))),
+                          t_feats=Tensor(rng.normal(size=(3, 2, 6))))
+    masks = (rng.uniform(size=(2, 4, 4)) > 0.5).astype(np.float64)
+    for lam in (1.0, 2.5, 0.0):
+        total, seg, cls = model_loss(out, masks, np.array([0, 1]), RunConfig(lambda_cls=lam))
+        assert float(cls.data) > 0.0
+        assert total.data == seg.data + cls.data * lam
+    assert total.data == seg.data
 
 
 def test_image_score_extremes_and_mean():

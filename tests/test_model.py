@@ -338,7 +338,7 @@ def test_text_forward_records_one_stack_and_one_slice_per_group():
         assert kinds["stack"] == 1 and kinds["slice_tensor"] == n
 
 
-def _default_step_kinds():
+def _default_step_loss():
     cfg = RunConfig()
     m = build_model(cfg)
     out = m.forward(m.vision_prefix(rand_images(cfg, 2, seed=20)),
@@ -346,7 +346,11 @@ def _default_step_kinds():
     masks = np.zeros((2, cfg.image_size, cfg.image_size))
     masks[1, 4:12, 8:16] = 1.0
     total, _, _ = model_loss(out, masks, np.array([0, 1]), cfg)
-    return _node_kinds(total)
+    return total
+
+
+def _default_step_kinds():
+    return _node_kinds(_default_step_loss())
 
 
 def test_default_step_records_four_block_nodes():
@@ -357,3 +361,15 @@ def test_default_step_records_four_block_nodes():
 def test_default_step_records_two_stack_nodes():
     # the vision levels in the gateway and the text features in text_forward
     assert _default_step_kinds()["stack"] == 2
+
+
+def test_default_step_reaches_no_tensor_of_rank_five():
+    # the cosine head is one matmul over C, so no (..., L, S, C) product of
+    # tokens against descriptors is built
+    seen, stack = {}, [_default_step_loss()]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node.data.ndim
+            stack.extend(node._parents)
+    assert max(seen.values()) == 4

@@ -179,8 +179,9 @@ def test_softmax_sum_and_shift_invariance():
 
 
 def cosine(a, b):
-    return float(T.cosine(T.Tensor(np.asarray(a, dtype=np.float64)),
-                          T.Tensor(np.asarray(b, dtype=np.float64))).data)
+    # one row against one row: the (1, 1) table
+    return float(T.cosine(T.Tensor(np.asarray(a, dtype=np.float64)[None]),
+                          T.Tensor(np.asarray(b, dtype=np.float64)[None])).data[0, 0])
 
 
 def test_cosine_self_similarity():
@@ -205,16 +206,30 @@ def test_cosine_symmetry_and_scale_invariance():
 
 
 def test_cosine_stacked_broadcast_equals_pairs():
-    # the gateway's call: (B, L, 1, C) patches against (B, 1, 2, C) descriptors
+    # the gateway's call: (B, L, C) patches against (B, 2, C) descriptors
     rng = np.random.default_rng(25)
-    v = rng.normal(size=(2, 3, 1, 7))
-    t = rng.normal(size=(2, 1, 2, 7))
+    v = rng.normal(size=(2, 3, 7))
+    t = rng.normal(size=(2, 2, 7))
     got = T.cosine(T.Tensor(v), T.Tensor(t)).data
     assert got.shape == (2, 3, 2)
     for b in range(2):
         for l in range(3):
             for s in range(2):
-                assert got[b, l, s] == cosine(v[b, l, 0], t[b, 0, s])
+                assert got[b, l, s] == cosine(v[b, l], t[b, s])
+
+
+@pytest.mark.parametrize("u_shape,v_shape", [((3, 2, 5, 7), (3, 2, 2, 7)),
+                                             ((3, 2, 5, 7), (2, 7)),
+                                             ((4, 7), (2, 7))])
+def test_cosine_matches_einsum_reference(u_shape, v_shape):
+    rng = np.random.default_rng(26)
+    u, v = rng.normal(size=u_shape), rng.normal(size=v_shape)
+    nu = np.sqrt(np.einsum("...c,...c->...", u, u))
+    nv = np.sqrt(np.einsum("...c,...c->...", v, v))
+    want = np.einsum("...lc,...sc->...ls", u, v) / (nu[..., :, None] * nv[..., None, :])
+    got = T.cosine(T.Tensor(u), T.Tensor(v)).data
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +395,13 @@ def test_fd_stack_with_a_constant_member():
         y = T.stack([p["p0"], const, p["p1"]])  # (3, 2, 3)
         return T.tsum(T.tanh(y * y) * y)
     _fd_case(build, [(2, 3), (2, 3)], 23)
+
+
+def test_fd_cosine_rows_against_broadcast_rows():
+    # (2, 3, 4) rows against (2, 4) rows shared by both leading entries
+    def build(p):
+        return T.tsum(T.tanh(T.cosine(p["p0"], p["p1"]) * 3.0))
+    _fd_case(build, [(2, 3, 4), (2, 4)], 24)
 
 
 def test_fd_upsample_log_clip():

@@ -4,7 +4,8 @@ import pytest
 from anofuse.config import RunConfig
 from anofuse.data import batch_arrays, gen_synthetic, get_corpora
 from anofuse.errors import TrainingError
-from anofuse.losses import cls_probs, image_score
+from anofuse.gateway import state_probs
+from anofuse.losses import image_score
 from anofuse.model import build_model
 from anofuse.tensor import Tensor, no_grad
 from anofuse.train import EVAL_BATCH, _batch_indices, predict, train, vision_prefix_rows
@@ -44,7 +45,7 @@ def test_predict_equals_forward_batch_by_batch():
             out = model.forward(model.vision_prefix(images), text)
             end = start + len(images)
             up = out.amap.upsampled.data
-            p_abn = cls_probs(out.v_cls, out.t_feats[-1], model.config.temperature).data[:, 1]
+            p_abn = state_probs(out.v_cls, out.t_feats[-1], model.config.temperature).data[:, 1]
             assert np.array_equal(maps[start:end], up)
             assert np.array_equal(scores[start:end], image_score(p_abn, up))
             assert np.array_equal(weights[:, :, start:end], out.amap.fusion_weights)
