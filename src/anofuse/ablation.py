@@ -53,5 +53,5 @@ def ablate(config: RunConfig) -> AblationResult:
         result.rows.append(AblationRow(
             label=label, conv_lora_on=conv_on, dfg_on=dfg_on,
             trainable_params=run.model.trainable_count(),
-            metrics=report.metric_values()))
+            metrics={k: getattr(report, k) for k in METRIC_KEYS}))
     return result

@@ -39,6 +39,8 @@ class ConvLoraAdapter:
         n_in = len(self.branch_kernels) * c
         self.fuse_1x1 = Tensor(rng.normal(0.0, n_in ** -0.5, (c, n_in, 1, 1)), trainable=True,
                                name=f"{name}.fuse_1x1")
+        self.params = (self.w_down, self.w_up, *self.conv_down.values(), *self.conv_up.values(),
+                       self.fuse_1x1)
 
     def branch_forward(self, z, k, grid):
         """One branch from the bottleneck rows z: two 1/k-scaled k x k convs, up-projection."""
@@ -54,15 +56,6 @@ class ConvLoraAdapter:
 
     __call__ = forward
 
-    def named_params(self):
-        p = self.name
-        out = {f"{p}.w_down": self.w_down, f"{p}.w_up": self.w_up}
-        for k in self.branch_kernels:
-            out[f"{p}.conv_down_{k}"] = self.conv_down[k]
-            out[f"{p}.conv_up_{k}"] = self.conv_up[k]
-        out[f"{p}.fuse_1x1"] = self.fuse_1x1
-        return out
-
 
 class LowRankAdapter:
     """Plain rank-r residual adapter: x @ w_down @ w_up, up starts at zero."""
@@ -72,12 +65,9 @@ class LowRankAdapter:
         self.w_down = Tensor(rng.normal(0.0, channels ** -0.5, (channels, rank)), trainable=True,
                              name=f"{name}.w_down")
         self.w_up = Tensor(np.zeros((rank, channels)), trainable=True, name=f"{name}.w_up")
+        self.params = (self.w_down, self.w_up)
 
     def forward(self, x, grid=None):
         return matmul(matmul(x, self.w_down), self.w_up)
 
     __call__ = forward
-
-    def named_params(self):
-        p = self.name
-        return {f"{p}.w_down": self.w_down, f"{p}.w_up": self.w_up}

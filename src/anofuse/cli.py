@@ -45,7 +45,9 @@ def _resolve_config(args, extra):
     """The --config key=value file, or the defaults, with the command-line
     overrides on top."""
     overrides = _collect_overrides(extra)
-    cfg = parse_config_text(Path(args.config).read_text()) if args.config else RunConfig()
+    # a byte that is not UTF-8 fails the key check, never the decode
+    cfg = (parse_config_text(Path(args.config).read_text("utf-8", "replace"))
+           if args.config else RunConfig())
     return apply_overrides(cfg, overrides).validate()
 
 

@@ -213,6 +213,8 @@ def load_dataset(root, split="test"):
             continue
         for path in sorted(folder.glob("*.pgm")):
             sample_id = path.stem
+            if label and (split_dir / "good" / path.name).exists():
+                raise DatasetError(f"{split_dir}: {path.name} is in both good/ and defect/")
             arr, maxval = read_pgm(path)
             image = arr.astype(np.float64) / maxval
             if label:

@@ -57,6 +57,7 @@ class FusionGateway:
                 # zero init makes the initial fusion weights uniform
                 self.w2[state] = Tensor(np.zeros((hidden, n_groups)), trainable=True,
                                         name=f"gateway.{state}.w2")
+        self.params = (*self.w1.values(), *self.w2.values())
 
     def fusion_weights(self, v_global, state):
         """Two-layer gating MLP and a softmax: (..., C) context -> (..., N)
@@ -95,11 +96,3 @@ class FusionGateway:
         agg = tsum(maps, axis=0) * (1.0 / n)
         upsampled = bilinear_upsample(agg, pixel_hw)
         return AnomalyMap(maps, agg, upsampled, np.stack([ws.data for ws in w]))
-
-    def named_params(self):
-        out = {}
-        for state in STATES:
-            if state in self.w1:
-                out[self.w1[state].name] = self.w1[state]
-                out[self.w2[state].name] = self.w2[state]
-        return out

@@ -1,6 +1,6 @@
 """Composite objective: focal + dice segmentation loss on the aggregated
-map plus the cross-entropy of the gateway's `state_probs` head on the class
-token against the unfused final-group text anchor; and the image score."""
+map plus the cross-entropy of the image head, the (B, S) state
+probabilities that `GroupedModel.forward` returns; and the image score."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigurationError
-from .gateway import state_probs
 from .tensor import clip, log, tmean, tsum
 
 CLAMP_EPS = 1e-7
@@ -42,11 +41,9 @@ def seg_loss(pred, target, cfg: RunConfig):
             + dice_loss(pred, target, cfg.dice_smooth) * cfg.lambda_dice)
 
 
-def cls_loss(v_cls, anchor, temperature, labels):
-    """Cross-entropy of the (B, C) rows' state probabilities against the
-    (S, C) anchor for the image labels."""
+def cls_loss(probs, labels):
+    """Cross-entropy of the (B, S) state probabilities for the image labels."""
     labels = np.asarray(labels)
-    probs = state_probs(v_cls, anchor, temperature)
     onehot = np.zeros((labels.shape[0], 2))
     onehot[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
     picked = tsum(probs * onehot, axis=1)
@@ -62,8 +59,9 @@ def image_score(p_abnormal, upsampled_map):
 
 def model_loss(out, masks, labels, cfg: RunConfig):
     """Total (seg + lambda_cls * cls), segmentation, and classification losses
-    of the model outputs `out` on one batch; `cfg` built the model. A
-    non-finite total is caught by `tensor.grad` (TrainingError)."""
-    seg = seg_loss(out.amap.upsampled, masks, cfg)
-    cls = cls_loss(out.v_cls, out.t_feats[-1], cfg.temperature, labels)
+    of the (amap, probs) pair that `GroupedModel.forward` returns, on one
+    batch. A non-finite total is caught by `tensor.grad` (TrainingError)."""
+    amap, probs = out
+    seg = seg_loss(amap.upsampled, masks, cfg)
+    cls = cls_loss(probs, labels)
     return seg + cls * cfg.lambda_cls, seg, cls

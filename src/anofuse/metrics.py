@@ -95,10 +95,6 @@ class MetricsReport:
     config_echo: list = field(default_factory=list)
     level_entropy: dict = field(default_factory=dict)  # (level, state) -> mean nats
 
-    def metric_values(self):
-        return {"pixel_auroc": self.pixel_auroc, "pixel_ap": self.pixel_ap,
-                "image_auroc": self.image_auroc, "image_ap": self.image_ap}
-
     def csv_lines(self):
         """Header + one row; metric values to 4 decimals, counts exact."""
         entropy_cols = [f"entropy_l{i}_{s}" for (i, s) in sorted(self.level_entropy)]

@@ -14,7 +14,9 @@ such a subgraph: patchify plus the group-0 vision blocks for each image
 (`vision_prefix`), and the group-0 text blocks on both prompts at once
 (`text_prefix`). The one forward path, `forward(vision_prefix, text)`,
 starts from the vision prefix and takes the (N, S, C) text features that
-`text_forward` computes from the text prefix. Callers that see the same
+`text_forward` computes from the text prefix, and returns both heads: the
+gateway's anomaly maps and the image head, `state_probs` of the class token
+against the final group's unfused text pair. Callers that see the same
 images or prompts again compute the prefix once and pass it in; the model
 keeps no state between calls.
 """
@@ -27,7 +29,7 @@ from . import tensor as tt
 from .adapter import ConvLoraAdapter, LowRankAdapter
 from .config import RunConfig
 from .errors import ShapeError
-from .gateway import STATES, FusionGateway
+from .gateway import STATES, FusionGateway, state_probs
 from .tensor import (Tensor, _node, gelu_bwd, gelu_fwd, layer_norm_bwd, layer_norm_fwd, softmax_bwd,
                      softmax_fwd)
 
@@ -77,6 +79,7 @@ class TransformerBlock:
         self.w1 = Tensor(rng.normal(0.0, std, (c, MLP_RATIO * c)), name=f"{name}.w1")
         self.w2 = Tensor(rng.normal(0.0, (MLP_RATIO * c) ** -0.5, (MLP_RATIO * c, c)),
                          name=f"{name}.w2")
+        self.params = (self.wq, self.wk, self.wv, self.wo, self.w1, self.w2)
         self.name = name
 
     def forward(self, x):
@@ -106,9 +109,6 @@ class TransformerBlock:
         return _node(y.reshape(b, l, c), (x,), vjp)
 
     __call__ = forward
-
-    def named_params(self):
-        return {t.name: t for t in (self.wq, self.wk, self.wv, self.wo, self.w1, self.w2)}
 
 
 class GroupedModel:
@@ -226,41 +226,26 @@ class GroupedModel:
     # ------------------------------------------------------------------
 
     def forward(self, vision_prefix, text):
-        """Encoders from the vision prefix, gateway, per-level and aggregated
-        maps. `text` is what `text_forward` returns."""
+        """Both heads from the vision prefix and the (N, S, C) `text_forward`
+        features: the gateway's `AnomalyMap`, and the (B, S) `state_probs` of
+        the final class token against the final group's pair, text[-1]."""
         v_list, v_cls = self.vision_forward(vision_prefix)
         amap = self.gateway.forward(v_list, text, self.grid,
                                     (self.config.image_size, self.config.image_size))
-        return ModelOutputs(v_list=v_list, v_cls=v_cls, t_feats=text, amap=amap)
+        return amap, state_probs(v_cls, text[-1], self.config.temperature)
 
     def named_params(self):
-        out = {}
-        for t in (self.patch_w, self.cls_token, self.vis_pos, self.tok_embed, self.txt_pos):
-            out[t.name] = t
-        for groups in (self.vision_groups, self.text_groups):
-            for blocks in groups:
-                for block in blocks:
-                    out.update(block.named_params())
-        for ad in self.vision_adapters:
-            out.update(ad.named_params())
-        for lo in self.text_loras:
-            out.update(lo.named_params())
-        out.update(self.gateway.named_params())
-        return out
+        """Every parameter by name: the embeddings, then each module's `params`."""
+        blocks = [b for groups in (self.vision_groups, self.text_groups) for g in groups for b in g]
+        modules = blocks + self.vision_adapters + self.text_loras + [self.gateway]
+        return {t.name: t for t in (self.patch_w, self.cls_token, self.vis_pos, self.tok_embed,
+                                    self.txt_pos, *(t for m in modules for t in m.params))}
 
     def trainable_params(self):
         return {k: v for k, v in self.named_params().items() if v.requires_grad}
 
     def trainable_count(self):
         return sum(v.data.size for v in self.trainable_params().values())
-
-
-class ModelOutputs:
-    def __init__(self, v_list, v_cls, t_feats, amap):
-        self.v_list = v_list
-        self.v_cls = v_cls
-        self.t_feats = t_feats
-        self.amap = amap
 
 
 # the RunConfig fields that build_model reads

@@ -10,7 +10,7 @@ import numpy as np
 from .config import RunConfig
 from .data import batch_arrays, get_corpora
 from .errors import TrainingError
-from .gateway import STATES, state_probs
+from .gateway import STATES
 from .losses import image_score, model_loss
 from .metrics import MetricsReport, auroc, average_precision, gate_entropy
 from .model import build_model
@@ -50,9 +50,7 @@ class Adam:
 
 def _batch_indices(n, batch_size, rng):
     """Endless epoch-shuffled index batches (ragged tail dropped)."""
-    if n <= batch_size:
-        while True:
-            yield rng.permutation(n)
+    batch_size = min(batch_size, n)
     while True:
         perm = rng.permutation(n)
         for i in range(0, n - batch_size + 1, batch_size):
@@ -104,7 +102,7 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     out = model.forward(prefix, model.text_forward(text_prefix))
                     total, seg, cls = model_loss(out, masks, labels, config)
-                    grads = grad(total, model.trainable_params())
+                    grads = grad(total, opt.params)
             except FloatingPointError as exc:
                 raise TrainingError(f"step {step}: numpy {exc}") from exc
             if not any(g.any() for g in grads.values()):
@@ -129,12 +127,11 @@ def predict(model, samples):
         text = model.text_forward(model.text_prefix())
         for start in range(0, len(samples), EVAL_BATCH):
             images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
-            out = model.forward(model.vision_prefix(images), text)
-            up = out.amap.upsampled.data
-            p_abn = state_probs(out.v_cls, text[-1], model.config.temperature).data[:, 1]
+            amap, probs = model.forward(model.vision_prefix(images), text)
+            up = amap.upsampled.data
             maps.append(up)
-            scores.append(image_score(p_abn, up))
-            weights.append(out.amap.fusion_weights)
+            scores.append(image_score(probs.data[:, 1], up))
+            weights.append(amap.fusion_weights)
     return np.concatenate(maps), np.concatenate(scores), np.concatenate(weights, axis=2)
 
 

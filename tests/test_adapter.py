@@ -105,7 +105,7 @@ def test_branch_order_determinism():
 
 
 def enumerate_scalars(ad):
-    return sum(v.data.size for v in ad.named_params().values())
+    return sum(t.data.size for t in ad.params)
 
 
 def test_param_count_hand_enumerations():
@@ -132,7 +132,7 @@ def test_param_count_below_attention_block():
 def test_adapter_gradients_match_finite_differences():
     ad = make_adapter(randomize_up=True)
     x = T.Tensor(np.random.default_rng(10).normal(size=(1, 9, 4)))
-    params = ad.named_params()
+    params = {t.name: t for t in ad.params}
 
     def loss():
         return T.tsum(T.tanh(ad(x, (3, 3))) ** 2)

@@ -66,6 +66,28 @@ def test_data_dir_split_without_images_is_one_error_line(tmp_path, split, capsys
     assert err == [f"error: {data / split} holds no images"]
 
 
+def test_sample_id_in_good_and_defect_is_one_error_line(run_dir, tmp_path, capsys):
+    # MVTec numbers each folder from 000: good/000.pgm and defect/000.pgm
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data)] + TINY) == 0
+    good = sorted((data / "test" / "good").glob("*.pgm"))[0]
+    (data / "test" / "defect" / good.name).write_bytes(good.read_bytes())
+    capsys.readouterr()
+    assert main(["export-maps", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(tmp_path / "maps"), "--data_dir", str(data)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {data / 'test'}: {good.name} is in both good/ and defect/"]
+    assert not (tmp_path / "maps").exists()
+
+
+def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"steps = 3\n\xff\xfe = 1\n")
+    assert main(["train", "--out", str(tmp_path / "run"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown config key '\ufffd\ufffd'")
+
+
 @pytest.mark.parametrize("override", [["--lr", "nan"], ["--lr", "inf"], ["--temperature", "nan"],
                                       ["--dice_smooth", "nan"], ["--lambda_cls", "inf"],
                                       ["--focal_gamma", "inf"]],

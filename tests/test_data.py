@@ -179,6 +179,17 @@ def test_load_missing_mask_names_id(tmp_path):
     assert victim in str(err.value)
 
 
+def test_load_sample_id_in_good_and_defect_names_the_file(tmp_path):
+    # one id in both folders would give two samples, and two exported maps,
+    # under one name
+    good = gen_synthetic(data_config(anomaly_rate=0.0), seed=14, n=2, prefix="x")
+    bad = gen_synthetic(data_config(anomaly_rate=1.0), seed=15, n=2, prefix="x")
+    export_dataset(tmp_path, {"test": good + bad})
+    with pytest.raises(DatasetError) as err:
+        load_dataset(tmp_path, "test")
+    assert str(err.value) == f"{tmp_path / 'test'}: x_0000.pgm is in both good/ and defect/"
+
+
 def test_load_missing_split_dir(tmp_path):
     with pytest.raises(DatasetError):
         load_dataset(tmp_path, "test")

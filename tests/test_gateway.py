@@ -155,7 +155,7 @@ def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
     v_list, t_feats = rand_features(seed=11)
     gw = make_gateway(randomize=True, seed=12)
     static_gw = make_gateway(dynamic=False)
-    assert static_gw.named_params() == {}
+    assert static_gw.params == ()
     # forward asks for the weights once per state, for all levels at once:
     # (N, B, N) rows, one-hot on the row's own level
     calls = []

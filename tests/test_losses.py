@@ -87,14 +87,14 @@ def test_cls_equidistant_gives_ln2():
     v = Tensor(np.array([[1.0, 1.0]]))
     anchor = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     for label in (0, 1):
-        got = float(cls_loss(v, anchor, 0.5, np.array([label])).data)
+        got = float(cls_loss(state_probs(v, anchor, 0.5), np.array([label])).data)
         assert abs(got - math.log(2.0)) < 1e-12
 
 
 def test_cls_aligned_abnormal_scalar_oracle():
     v = Tensor(np.array([[1.0, 0.0]]))
     anchor = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    got = float(cls_loss(v, anchor, 1.0, np.array([1])).data)
+    got = float(cls_loss(state_probs(v, anchor, 1.0), np.array([1])).data)
     sigma = math.exp(1.0) / (math.exp(0.0) + math.exp(1.0))
     assert abs(got + math.log(sigma)) < 1e-12
 
@@ -105,8 +105,8 @@ def test_cls_anchor_swap_with_label_swap_is_symmetric():
     a = rng.normal(size=(6,))
     b = rng.normal(size=(6,))
     labels = np.array([0, 1, 0])
-    l1 = float(cls_loss(v, Tensor(np.stack([a, b])), 0.07, labels).data)
-    l2 = float(cls_loss(v, Tensor(np.stack([b, a])), 0.07, 1 - labels).data)
+    l1 = float(cls_loss(state_probs(v, Tensor(np.stack([a, b])), 0.07), labels).data)
+    l2 = float(cls_loss(state_probs(v, Tensor(np.stack([b, a])), 0.07), 1 - labels).data)
     assert abs(l1 - l2) < 1e-12
 
 
@@ -122,9 +122,9 @@ def test_cls_probs_rows_normalized():
 
 def test_total_loss_weighting():
     rng = np.random.default_rng(6)
-    out = SimpleNamespace(amap=SimpleNamespace(upsampled=Tensor(rng.uniform(0.1, 0.9, (2, 4, 4)))),
-                          v_cls=Tensor(rng.normal(size=(2, 6))),
-                          t_feats=Tensor(rng.normal(size=(3, 2, 6))))
+    amap = SimpleNamespace(upsampled=Tensor(rng.uniform(0.1, 0.9, (2, 4, 4))))
+    v_cls, t_feats = Tensor(rng.normal(size=(2, 6))), Tensor(rng.normal(size=(3, 2, 6)))
+    out = (amap, state_probs(v_cls, t_feats[-1], RunConfig().temperature))
     masks = (rng.uniform(size=(2, 4, 4)) > 0.5).astype(np.float64)
     for lam in (1.0, 2.5, 0.0):
         total, seg, cls = model_loss(out, masks, np.array([0, 1]), RunConfig(lambda_cls=lam))

@@ -195,14 +195,35 @@ def test_frozen_params_never_receive_gradients():
     assert set(grads) == set(m.trainable_params())
 
 
+@pytest.mark.parametrize("switches", [{}, {"conv_lora_on": False, "dfg_on": False}],
+                         ids=["default", "plain"])
+def test_every_module_tensor_is_in_its_params_and_named_once(switches):
+    # a Tensor left out of `params` would be missing from checkpoints, Adam
+    # and the gradient suite without any error
+    m = build_model(replace(RunConfig(), **switches))
+    blocks = [b for groups in (m.vision_groups, m.text_groups) for g in groups for b in g]
+    modules = blocks + m.vision_adapters + m.text_loras + [m.gateway]
+    listed = []
+    for module in modules:
+        held = [v for v in vars(module).values() if isinstance(v, Tensor)]
+        held += [t for v in vars(module).values() if isinstance(v, dict)
+                 for t in v.values() if isinstance(t, Tensor)]
+        assert {id(t) for t in held} == {id(t) for t in module.params}, type(module).__name__
+        listed += module.params
+    named = m.named_params()
+    assert len(named) == 5 + len(listed)
+    assert {id(t) for t in listed} <= {id(t) for t in named.values()}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_group_counts_build_and_run(n):
     cfg = small_config(n_groups=n)
     m = build_model(cfg)
     with no_grad():
-        out = m.forward(m.vision_prefix(rand_images(cfg, 1, seed=10)),
-                        m.text_forward(m.text_prefix()))
-    assert out.amap.per_level.data.shape == (n, 1) + m.grid
+        amap, probs = m.forward(m.vision_prefix(rand_images(cfg, 1, seed=10)),
+                                m.text_forward(m.text_prefix()))
+    assert amap.per_level.data.shape == (n, 1) + m.grid
+    assert probs.data.shape == (1, 2)
 
 
 def test_batch_permutation_equivariance():
@@ -212,10 +233,12 @@ def test_batch_permutation_equivariance():
     perm = np.array([2, 0, 3, 1])
     with no_grad():
         text = m.text_forward(m.text_prefix())
-        out = m.forward(m.vision_prefix(images), text)
-        out_p = m.forward(m.vision_prefix(images[perm]), text)
-    np.testing.assert_array_equal(out.amap.aggregated.data[perm], out_p.amap.aggregated.data)
-    np.testing.assert_array_equal(out.v_cls.data[perm], out_p.v_cls.data)
+        prefix, prefix_p = m.vision_prefix(images), m.vision_prefix(images[perm])
+        (amap, probs), (amap_p, probs_p) = m.forward(prefix, text), m.forward(prefix_p, text)
+        v_cls, v_cls_p = m.vision_forward(prefix)[1], m.vision_forward(prefix_p)[1]
+    np.testing.assert_array_equal(amap.aggregated.data[perm], amap_p.aggregated.data)
+    np.testing.assert_array_equal(probs.data[perm], probs_p.data)
+    np.testing.assert_array_equal(v_cls.data[perm], v_cls_p.data)
 
 
 def test_vocab_covers_prompts():
@@ -262,8 +285,10 @@ def test_model_forward_equals_composed_block_oracle(monkeypatch, cfg):
 
     def run():
         with no_grad():
-            out = m.forward(m.vision_prefix(images), m.text_forward(m.text_prefix()))
-        return [out.amap.upsampled.data, out.v_cls.data] + [v.data for v in out.v_list]
+            prefix = m.vision_prefix(images)
+            amap, probs = m.forward(prefix, m.text_forward(m.text_prefix()))
+            v_list, v_cls = m.vision_forward(prefix)
+        return [amap.upsampled.data, probs.data, v_cls.data] + [v.data for v in v_list]
     fused = run()
     monkeypatch.setattr(TransformerBlock, "__call__", block_composition)
     for got, want in zip(fused, run()):
@@ -323,10 +348,10 @@ def test_gateway_records_as_many_nodes_at_any_group_count():
     for n in (2, 4):
         cfg = small_config(n_groups=n)
         m = build_model(cfg)
-        out = m.forward(m.vision_prefix(rand_images(cfg, 2, seed=19)),
-                        m.text_forward(m.text_prefix()))
-        inputs = out.v_list + [out.t_feats]
-        kinds.append(_node_kinds(out.amap.upsampled, inputs))
+        v_list, _ = m.vision_forward(m.vision_prefix(rand_images(cfg, 2, seed=19)))
+        text = m.text_forward(m.text_prefix())
+        amap = m.gateway.forward(v_list, text, m.grid, (cfg.image_size, cfg.image_size))
+        kinds.append(_node_kinds(amap.upsampled, v_list + [text]))
     assert kinds[0] == kinds[1] and kinds[0]["softmax"] == 3  # two gates, one map
 
 

@@ -27,12 +27,16 @@ def test_gathered_prefix_rows_equal_forward(b):
     idx = np.random.default_rng(b).permutation(len(samples))[:b]
     images, _, _ = batch_arrays([samples[i] for i in idx])
     text = model.text_forward(model.text_prefix())
-    want = model.forward(model.vision_prefix(images), text)
-    got = model.forward(Tensor(np.stack([rows[i] for i in idx])), text)
-    assert np.array_equal(got.amap.upsampled.data, want.amap.upsampled.data)
-    assert np.array_equal(got.v_cls.data, want.v_cls.data)
-    for g, v in enumerate(want.v_list):
-        assert np.array_equal(got.v_list[g].data, v.data)
+    prefix, gathered = model.vision_prefix(images), Tensor(np.stack([rows[i] for i in idx]))
+    want_map, want_probs = model.forward(prefix, text)
+    got_map, got_probs = model.forward(gathered, text)
+    assert np.array_equal(got_map.upsampled.data, want_map.upsampled.data)
+    assert np.array_equal(got_probs.data, want_probs.data)
+    want_v, want_cls = model.vision_forward(prefix)
+    got_v, got_cls = model.vision_forward(gathered)
+    assert np.array_equal(got_cls.data, want_cls.data)
+    for g, v in enumerate(want_v):
+        assert np.array_equal(got_v[g].data, v.data)
 
 
 def test_predict_equals_forward_batch_by_batch():
@@ -42,13 +46,17 @@ def test_predict_equals_forward_batch_by_batch():
         text = model.text_forward(model.text_prefix())
         for start in range(0, len(samples), EVAL_BATCH):
             images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
-            out = model.forward(model.vision_prefix(images), text)
+            prefix = model.vision_prefix(images)
+            amap, probs = model.forward(prefix, text)
             end = start + len(images)
-            up = out.amap.upsampled.data
-            p_abn = state_probs(out.v_cls, out.t_feats[-1], model.config.temperature).data[:, 1]
+            up = amap.upsampled.data
+            # the image head, recomputed from the class token and the anchor
+            v_cls = model.vision_forward(prefix)[1]
+            p_abn = state_probs(v_cls, text[-1], model.config.temperature).data[:, 1]
+            assert np.array_equal(probs.data[:, 1], p_abn)
             assert np.array_equal(maps[start:end], up)
             assert np.array_equal(scores[start:end], image_score(p_abn, up))
-            assert np.array_equal(weights[:, :, start:end], out.amap.fusion_weights)
+            assert np.array_equal(weights[:, :, start:end], amap.fusion_weights)
 
 
 def test_diverging_run_keeps_trace_and_parameter_snapshot():
