@@ -1,17 +1,21 @@
 """Run configuration: model, loss, ablation, optimizer, seed, and data knobs.
 
 Configs round-trip through plain-text ``key = value`` files (one pair per
-line, ``#`` starts a comment) and accept command-line overrides. Unknown
-keys are rejected with the full list of valid keys so typos fail loudly.
+line; a ``#`` at the start of a line or after whitespace starts a comment)
+and accept command-line overrides. Unknown keys are rejected with the full
+list of valid keys so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 from .data import NOISE_FIELDS
 from .errors import ConfigurationError
+
+COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass
@@ -116,6 +120,9 @@ class RunConfig:
             bad.append(f"delta range [{self.delta_min}, {self.delta_max}]")
         if self.n_train < 1 or self.n_test < 1:
             bad.append(f"n_train={self.n_train}, n_test={self.n_test} (need >= 1)")
+        if COMMENT.search(self.data_dir):
+            bad.append(f"data_dir={self.data_dir!r} (a '#' at its start or after whitespace "
+                       "would read back as a comment)")
         if self.texture not in ("noise", "sinusoid", "mixed"):
             bad.append(f"texture={self.texture!r} (noise|sinusoid|mixed)")
         bad += [f"{k}={v} (need >= 0)" for k in ("model_seed", "data_seed")
@@ -180,7 +187,7 @@ def apply_overrides(cfg, overrides):
 def parse_config_text(text):
     cfg_values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -10,11 +10,7 @@ class ConfigurationError(ValueError):
 
 
 class TrainingError(RuntimeError):
-    """Training diverged or trains nothing. May carry a parameter snapshot."""
-
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot or {}
+    """Training diverged or trains nothing; `train` attaches the loss trace."""
 
 
 class UndefinedMetricError(ValueError):

@@ -60,7 +60,7 @@ def image_score(p_abnormal, upsampled_map):
 def model_loss(out, masks, labels, cfg: RunConfig):
     """Total (seg + lambda_cls * cls), segmentation, and classification losses
     of the (amap, probs) pair that `GroupedModel.forward` returns, on one
-    batch. A non-finite total is caught by `tensor.grad` (TrainingError)."""
+    batch. `train` stops on a non-finite total (TrainingError)."""
     amap, probs = out
     seg = seg_loss(amap.upsampled, masks, cfg)
     cls = cls_loss(probs, labels)

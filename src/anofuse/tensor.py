@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, TrainingError
+from .errors import ConfigurationError, ShapeError
 
 _GRAD_ENABLED = [True]
 
@@ -459,14 +459,11 @@ def grad(loss, params):
     """Gradients of a scalar loss for every tensor in `params` (a name ->
     Tensor map) that requires one; a frozen entry gets no entry.
 
-    One reverse sweep from `loss` in topological order. Raises
-    TrainingError (with a data snapshot of `params`) on a non-finite loss.
+    One reverse sweep from `loss` in topological order; a non-finite loss
+    gives non-finite gradients, and `train` checks the loss first.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ShapeError("grad() wants a scalar loss Tensor")
-    if not np.isfinite(loss.data):
-        snapshot = {k: v.data.copy() for k, v in params.items()}
-        raise TrainingError(f"non-finite loss {float(loss.data)}", snapshot=snapshot)
     order = []
     seen = set()
     stack = [(loss, False)]

@@ -1,5 +1,5 @@
-"""Training loop (adaptive-moment gradient descent over trainable
-parameters only) and the deterministic evaluation pass."""
+"""Training loop (Adam on one flat buffer of the trainables, stopped by a
+non-finite loss, a numpy FPE or an all-zero gradient) and evaluation."""
 
 from __future__ import annotations
 
@@ -23,29 +23,33 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard bias-corrected Adam; parameters stepped in sorted-name order."""
+    """Bias-corrected Adam in place on one flat copy of the trainables, in
+    sorted-name order; each trainable's `.data` becomes a view of `flat`."""
 
     def __init__(self, params, lr):
         self.params = params
         self.names = sorted(params)
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(params[k].data) for k in self.names}
-        self.v = {k: np.zeros_like(params[k].data) for k in self.names}
+        self.flat = np.concatenate([params[k].data for k in self.names], axis=None)
+        self.m, self.v, self.g, self.s = (np.zeros_like(self.flat) for _ in range(4))
+        ends = np.cumsum([params[k].data.size for k in self.names])
+        for k, view in zip(self.names, np.split(self.flat, ends[:-1])):
+            params[k].data = view.reshape(params[k].data.shape)
 
     def step(self, grads):
         self.t += 1
-        b1t = 1.0 - BETA1 ** self.t
-        b2t = 1.0 - BETA2 ** self.t
-        for name in self.names:
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            self.params[name].data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+        m, v, g, s = self.m, self.v, self.g, self.s
+        np.concatenate([grads[k] for k in self.names], axis=None, out=g)
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=s)
+        v *= BETA2
+        v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=g), out=g)
+        # flat -= lr * (m / b1t) / (sqrt(v / b2t) + EPS) in place: whole-buffer
+        # temporaries made the step slower than a loop over the tensors
+        np.add(np.sqrt(np.divide(v, 1.0 - BETA2 ** self.t, out=g), out=g), EPS, out=g)
+        np.multiply(self.lr, np.divide(m, 1.0 - BETA1 ** self.t, out=s), out=s)
+        self.flat -= np.divide(s, g, out=s)
 
 
 def _batch_indices(n, batch_size, rng):
@@ -102,6 +106,8 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     out = model.forward(prefix, model.text_forward(text_prefix))
                     total, seg, cls = model_loss(out, masks, labels, config)
+                    if not np.isfinite(total.data):
+                        raise TrainingError(f"step {step}: non-finite loss {float(total.data)}")
                     grads = grad(total, opt.params)
             except FloatingPointError as exc:
                 raise TrainingError(f"step {step}: numpy {exc}") from exc

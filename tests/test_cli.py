@@ -180,6 +180,22 @@ def test_checkpoint_of_other_frozen_weights_is_one_error_line(run_dir, tmp_path,
     assert len(err) == 1 and err[0].startswith(f"error: {path}: frozen weights differ")
 
 
+def test_data_dir_with_hash_evaluates_from_its_checkpoint(tmp_path, capsys):
+    data = tmp_path / "d#1"
+    assert main(["gen", "--out", str(data)] + TINY) == 0
+    assert main(["train", "--out", str(tmp_path / "run"), "--data_dir", str(data)] + TINY) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "run" / "metrics.csv").read_text()
+
+
+def test_data_dir_with_hash_after_a_space_is_one_error_line(tmp_path, capsys):
+    assert main(["train", "--out", str(tmp_path), "--data_dir", "d #1"] + TINY) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid config: data_dir='d #1'")
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_unknown_key_is_one_error_line(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path), "--n_group", "2"]) == 1
     err = capsys.readouterr().err.splitlines()

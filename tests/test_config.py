@@ -26,6 +26,21 @@ def test_echo_lines_round_trip():
     assert parse_config_text("\n".join(cfg.echo_lines())) == cfg
 
 
+def test_every_field_survives_echo_round_trip():
+    cfg = RunConfig(
+        n_groups=2, blocks_per_group=2, channels=48, heads=3, patch_size=4, image_size=24,
+        rank=5, branch_kernels=(1, 7), temperature=0.125, gate_hidden=6, lambda_focal=0.5,
+        lambda_dice=1.5, lambda_cls=2.5, focal_gamma=1.25, focal_alpha=0.3, dice_smooth=0.75,
+        conv_lora_on=False, dfg_on=False, lr=3e-4, steps=7, batch_size=5, model_seed=11,
+        data_seed=13, data_dir="D#1", n_train=17, n_test=19, anomaly_rate=0.4, defect_min=3,
+        defect_max=9, delta_min=2.5, delta_max=5.0, texture="sinusoid").validate()
+    default = RunConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(RunConfig))
+    back = parse_config_text("\n".join(cfg.echo_lines()))
+    for f in fields(RunConfig):
+        assert getattr(back, f.name) == getattr(cfg, f.name), f.name
+
+
 def test_unknown_key_lists_valid_keys():
     with pytest.raises(ConfigurationError) as err:
         parse_config_text("n_group = 2")
@@ -107,8 +122,13 @@ SMALL_IMAGES = {"image_size": 4, "patch_size": 4, "defect_min": 1, "defect_max":
     ({"defect_max": 40}, "defect_max=40 exceeds image_size=32"),
     ({**SMALL_IMAGES, "texture": "noise"}, "image_size=4 smaller than the noise texture's 8x8"),
     (SMALL_IMAGES, "image_size=4 smaller than the noise texture's 8x8 field"),
+    # a config file or a checkpoint's echo would read these back cut at the '#'
+    ({"data_dir": "D #1"}, "data_dir='D #1' (a '#' at its start or after whitespace"),
+    ({"data_dir": "#D"}, "data_dir='#D'"),
+    ({"data_dir": "D\t#1"}, "data_dir='D\\t#1'"),
 ], ids=["zero_heads", "negative_heads", "zero_patch", "negative_patch", "oversized_defect",
-        "small_noise_images", "small_mixed_images"])
+        "small_noise_images", "small_mixed_images", "hash_after_space", "hash_first",
+        "hash_after_tab"])
 def test_shape_and_data_settings_validated(override, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         RunConfig(**override).validate()

@@ -8,7 +8,8 @@ from anofuse.gateway import state_probs
 from anofuse.losses import image_score
 from anofuse.model import build_model
 from anofuse.tensor import Tensor, no_grad
-from anofuse.train import EVAL_BATCH, _batch_indices, predict, train, vision_prefix_rows
+from anofuse.train import (BETA1, BETA2, EPS, EVAL_BATCH, Adam, _batch_indices, predict, train,
+                           vision_prefix_rows)
 from anofuse.verify import randomize_trainables
 
 
@@ -59,7 +60,7 @@ def test_predict_equals_forward_batch_by_batch():
             assert np.array_equal(weights[:, :, start:end], amap.fusion_weights)
 
 
-def test_diverging_run_keeps_trace_and_parameter_snapshot():
+def test_diverging_run_keeps_trace_and_names_its_step():
     cfg = RunConfig(n_groups=2, channels=8, heads=2, rank=2, gate_hidden=2,
                     branch_kernels=(3,), patch_size=8, image_size=16, defect_min=3,
                     defect_max=8, steps=20, batch_size=2, n_train=6, n_test=4)
@@ -72,5 +73,53 @@ def test_diverging_run_keeps_trace_and_parameter_snapshot():
     with pytest.raises(TrainingError) as err:
         train(cfg, corpora=(train_s, test_s))
     assert err.value.trace
-    assert err.value.snapshot
-    assert all(np.isfinite(p).all() for p in err.value.snapshot.values())
+    assert str(err.value) == f"step {len(err.value.trace)}: non-finite loss nan"
+
+
+def per_name_adam(params, lr, grads_per_step):
+    """The reference: bias-corrected Adam stepped tensor by tensor, in
+    sorted-name order, on copies of `params`' data."""
+    data = {k: t.data.copy() for k, t in params.items()}
+    m = {k: np.zeros_like(a) for k, a in data.items()}
+    v = {k: np.zeros_like(a) for k, a in data.items()}
+    for t, grads in enumerate(grads_per_step, 1):
+        b1t = 1.0 - BETA1 ** t
+        b2t = 1.0 - BETA2 ** t
+        for name in sorted(data):
+            g = grads[name]
+            m[name] *= BETA1
+            m[name] += (1.0 - BETA1) * g
+            v[name] *= BETA2
+            v[name] += (1.0 - BETA2) * (g * g)
+            data[name] -= lr * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + EPS)
+    return data
+
+
+def test_flat_adam_equals_per_name_adam_and_views_its_buffer():
+    model = build_model(RunConfig())
+    randomize_trainables(model, 3)
+    params = model.trainable_params()
+    rng = np.random.default_rng(4)
+    grads_per_step = [{k: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), t.data.shape)
+                       for k, t in params.items()} for _ in range(5)]
+    want = per_name_adam(params, 1e-2, grads_per_step)
+    opt = Adam(params, 1e-2)
+    for grads in grads_per_step:
+        opt.step(grads)
+    assert opt.flat.size == model.trainable_count()
+    for name, t in params.items():
+        assert np.shares_memory(t.data, opt.flat)
+        assert np.array_equal(t.data, want[name]), name
+
+
+def test_flat_adam_copies_read_only_parameters():
+    source = np.arange(6, dtype="<f8").tobytes()
+    params = {"a": Tensor(np.frombuffer(source, dtype="<f8").reshape(2, 3), trainable=True),
+              "b": Tensor(np.ones(4), trainable=True)}
+    grads = {"a": np.ones((2, 3)), "b": np.ones(4)}
+    want = per_name_adam(params, 0.1, [grads])
+    opt = Adam(params, 0.1)
+    opt.step(grads)
+    assert source == np.arange(6, dtype="<f8").tobytes()
+    for name, t in params.items():
+        assert np.array_equal(t.data, want[name]), name
