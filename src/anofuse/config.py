@@ -123,6 +123,9 @@ class RunConfig:
         if COMMENT.search(self.data_dir):
             bad.append(f"data_dir={self.data_dir!r} (a '#' at its start or after whitespace "
                        "would read back as a comment)")
+        if self.data_dir != self.data_dir.strip():
+            bad.append(f"data_dir={self.data_dir!r} (whitespace at either end would read back "
+                       "stripped)")
         if self.texture not in ("noise", "sinusoid", "mixed"):
             bad.append(f"texture={self.texture!r} (noise|sinusoid|mixed)")
         bad += [f"{k}={v} (need >= 0)" for k in ("model_seed", "data_seed")
@@ -146,7 +149,6 @@ VALID_KEYS = sorted(f.name for f in fields(RunConfig))
 
 
 def _coerce(key, raw):
-    raw = raw.strip()
     if key == "branch_kernels":
         try:
             return tuple(int(p) for p in raw.replace("(", "").replace(")", "").split(",") if p.strip())
@@ -154,7 +156,7 @@ def _coerce(key, raw):
             raise ConfigurationError(f"cannot parse branch_kernels from {raw!r}")
     default = getattr(RunConfig(), key)
     if isinstance(default, bool):
-        low = raw.lower()
+        low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
@@ -193,5 +195,5 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = line.split("=", 1)
-        cfg_values[key.strip()] = raw
+        cfg_values[key.strip()] = raw.strip()
     return apply_overrides(RunConfig(), cfg_values)

@@ -3,10 +3,12 @@
 Both metrics read one descending sweep over the scores, with each run of
 tied scores taken as one step. auroc sums the Mann-Whitney statistic (ties
 half-credited) over the steps; average_precision adds each step's recall
-increment times its precision, in sweep order. Both are exact: every
-intermediate is a ratio of small integers (or an integer multiple of one
-half), so results agree bit-for-bit with brute-force pair counting and
-exhaustive sweeps.
+increment times its precision, in sweep order. The sweep is read only at
+step ends, where it counts the items and the positives that score >= the
+step's value; the order within a tie never shows, so value sorts serve.
+Both are exact: every intermediate is a ratio of small integers (or an
+integer multiple of one half), so results agree bit-for-bit with
+brute-force pair counting and exhaustive sweeps.
 """
 
 from __future__ import annotations
@@ -20,25 +22,23 @@ from .errors import UndefinedMetricError
 
 def _check_binary(labels):
     labels = np.asarray(labels)
-    if labels.size == 0 or not np.isin(labels, (0, 1)).all():
+    if labels.size == 0 or not ((labels == 0) | (labels == 1)).all():
         raise UndefinedMetricError("labels must be 0/1 and non-empty")
     return labels.astype(np.int64, copy=False)
 
 
 def _descending_sweep(scores, labels):
-    """(seen, tp) at the end of each step of the sweep: the count of items
-    seen so far and the cumulative positive count."""
+    """(seen, tp) at the end of each step: the count of scores >= the step's
+    value and the count of positives among them. Counts over a closed
+    threshold ignore the order within a tie, so value sorts serve."""
     scores = np.asarray(scores, dtype=np.float64)
     if np.isnan(scores).any():
         raise UndefinedMetricError("scores contain NaN, which has no rank")
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
+    s = np.sort(scores)[::-1]
     seen = np.flatnonzero(np.append(s[1:] != s[:-1], True))
     seen += 1
-    del s  # free the sorted scores, then the order, before the n-long cumsum
-    tp = labels[order]
-    del order
-    return seen, np.cumsum(tp, out=tp)[seen - 1]
+    pos = np.sort(scores[labels == 1])
+    return seen, pos.size - np.searchsorted(pos, s[seen - 1], side="left")
 
 
 def auroc(scores, labels):

@@ -196,6 +196,15 @@ def test_data_dir_with_hash_after_a_space_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_data_dir_with_a_trailing_space_is_one_error_line(tmp_path, capsys):
+    # a config file or a checkpoint's echo would read it back without the space
+    assert main(["train", "--out", str(tmp_path), "--data_dir", "d "] + TINY) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid config: data_dir='d ' (whitespace at either end would "
+                   "read back stripped)"]
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_unknown_key_is_one_error_line(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path), "--n_group", "2"]) == 1
     err = capsys.readouterr().err.splitlines()

@@ -126,9 +126,12 @@ SMALL_IMAGES = {"image_size": 4, "patch_size": 4, "defect_min": 1, "defect_max":
     ({"data_dir": "D #1"}, "data_dir='D #1' (a '#' at its start or after whitespace"),
     ({"data_dir": "#D"}, "data_dir='#D'"),
     ({"data_dir": "D\t#1"}, "data_dir='D\\t#1'"),
+    # ... and these back stripped
+    ({"data_dir": "D "}, "data_dir='D ' (whitespace at either end would read back stripped)"),
+    ({"data_dir": "\tD"}, "data_dir='\\tD' (whitespace at either end"),
 ], ids=["zero_heads", "negative_heads", "zero_patch", "negative_patch", "oversized_defect",
         "small_noise_images", "small_mixed_images", "hash_after_space", "hash_first",
-        "hash_after_tab"])
+        "hash_after_tab", "trailing_space", "leading_tab"])
 def test_shape_and_data_settings_validated(override, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         RunConfig(**override).validate()

@@ -14,7 +14,7 @@ import numpy as np
 
 from anofuse.cli import main
 from anofuse.config import RunConfig
-from anofuse.train import predict, train
+from anofuse.train import evaluate, predict, train
 from anofuse.verify import full_model_gradient_suite
 
 TINY = ["--n_groups", "2", "--channels", "16", "--heads", "2", "--rank", "2",
@@ -37,6 +37,10 @@ DEFAULT_TRACE = [
 ]
 DEFAULT_TRAINABLES_SHA256 = "0cc8c7f782393aa8e419579c3987bad43cf56017a3253cfebf5933e823391a69"
 DEFAULT_MAPS_SHA256 = "b8215b0348b621cdc8ee6b9815e0a8b1c55731342e9bd450aa98df2d9020cae6"
+# evaluate() of that run: pixel AUROC, pixel AP, image AUROC, image AP (3 of
+# the 4 test images are anomalous, so each is defined)
+DEFAULT_REPORT = ("0x1.5f31f0fb8a045p-1", "0x1.7b52e79aa66c3p-4",
+                  "0x1.5555555555555p-1", "0x1.d555555555555p-1")
 
 
 def _sha(blob):
@@ -70,6 +74,9 @@ def test_default_shape_run_is_pinned():
         DEFAULT_TRAINABLES_SHA256
     maps, _, _ = predict(result.model, result.test_samples)
     assert _sha(_le_bytes(maps)) == DEFAULT_MAPS_SHA256
+    report = evaluate(result.model, result.test_samples)
+    assert tuple(x.hex() for x in (report.pixel_auroc, report.pixel_ap, report.image_auroc,
+                                   report.image_ap)) == DEFAULT_REPORT
 
 
 def test_tiny_gradient_suite_is_pinned():

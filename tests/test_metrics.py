@@ -87,6 +87,50 @@ def test_metrics_match_brute_force_continuous():
         assert average_precision(scores, labels) == ap_sweep(scores, labels)
 
 
+def _tie_cases():
+    rng = np.random.default_rng(3)
+    n = 400
+    signed_zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    signed_zeros[:40] = rng.normal(size=40)
+    infinities = rng.choice([-np.inf, -1.0, 0.0, 2.0, np.inf], n)
+    one_level = rng.normal(size=n)
+    labels = (rng.random(n) < 0.3).astype(int)
+    one_level[labels == 1] = 0.25
+    one_level[:20] = 0.25  # negatives in the positives' tie too
+    single = rng.integers(0, 8, n) / 8
+    single_label = np.zeros(n, dtype=int)
+    single_label[123] = 1
+    return {
+        "signed_zero_tie": (signed_zeros, (rng.random(n) < 0.4).astype(int)),
+        "infinite_scores": (infinities, (rng.random(n) < 0.4).astype(int)),
+        "positives_in_one_tie": (one_level, labels),
+        "single_positive": (single, single_label),
+        "256_levels": (rng.integers(0, 256, 5000) / 255, (rng.random(5000) < 0.05).astype(int)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_tie_cases()))
+def test_order_within_ties_never_shows(case):
+    # the sweep value-sorts the scores, so a tie's items come out in no set
+    # order; both metrics must match the oracles and a shuffled copy exactly
+    scores, labels = _tie_cases()[case]
+    assert ((labels == 0).any() and (labels == 1).any()
+            and np.unique(scores).size < scores.size)
+    perm = np.random.default_rng(4).permutation(scores.size)
+    got = auroc(scores, labels)
+    assert got == auroc_pairs(scores, labels) == auroc(scores[perm], labels[perm])
+    got = average_precision(scores, labels)
+    assert got == ap_sweep(scores, labels) == average_precision(scores[perm], labels[perm])
+
+
+@pytest.mark.parametrize("labels", [[], [0, 2, 1], [0, 0.5, 1], ["0", "1", "1"]],
+                         ids=["empty", "two", "half", "strings"])
+def test_labels_other_than_zero_and_one_rejected(labels):
+    for metric in (auroc, average_precision):
+        with pytest.raises(UndefinedMetricError, match="labels must be 0/1"):
+            metric(np.linspace(0.0, 1.0, len(labels)), labels)
+
+
 def test_near_oracle_scores_hit_ceiling():
     rng = np.random.default_rng(2)
     labels = rng.integers(0, 2, 400)
