@@ -1,13 +1,13 @@
 """Multi-branch convolutional low-rank adapters.
 
-The ConvLoraAdapter compresses tokens through a shared low-rank bottleneck,
-runs parallel k x k convolution pairs (one pair per kernel size, each conv
-scaled by 1/k) on the token rows of the patch grid, projects each branch
-back up, and fuses the branch outputs, concatenated along channels, with
-the same row convolution at k = 1. The result is a residual update the
-caller adds to its tokens. With the up-projection at
-its zero init the update is exactly zero, so a freshly built adapter leaves
-the network function untouched.
+The ConvLoraAdapter compresses tokens through a shared low-rank bottleneck
+and runs parallel k x k convolution pairs (one pair per kernel size, each
+conv scaled by 1/k) on the token rows of the patch grid. The paper then
+projects each branch back up and fuses the branches with a 1x1 conv. Those
+stages are linear, so `forward` folds the up-projection, the scales and the
+fuse into one (n*r, C) weight matrix that acts on the concatenated rank-r
+branches. The update is exactly zero while the up-projection is at its zero
+init, so a freshly built adapter leaves the network function untouched.
 
 LowRankAdapter is the plain variant (down/up projection only) used for the
 text groups and for the ablation baseline on vision groups.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat, conv_rows, matmul
+from .tensor import Tensor, concat, conv_rows, matmul, reshape, transpose
 
 
 class ConvLoraAdapter:
@@ -28,8 +28,7 @@ class ConvLoraAdapter:
         self.w_down = Tensor(rng.normal(0.0, c ** -0.5, (c, r)), trainable=True,
                              name=f"{name}.w_down")
         self.w_up = Tensor(np.zeros((r, c)), trainable=True, name=f"{name}.w_up")
-        self.conv_down = {}
-        self.conv_up = {}
+        self.conv_down, self.conv_up = {}, {}
         for k in self.branch_kernels:
             std = (r * k * k) ** -0.5
             self.conv_down[k] = Tensor(rng.normal(0.0, std, (r, r, k, k)), trainable=True,
@@ -43,16 +42,19 @@ class ConvLoraAdapter:
                        self.fuse_1x1)
 
     def branch_forward(self, z, k, grid):
-        """One branch from the bottleneck rows z: two 1/k-scaled k x k convs, up-projection."""
-        z = conv_rows(z, self.conv_down[k], grid) * (1.0 / k)
-        z = conv_rows(z, self.conv_up[k], grid) * (1.0 / k)
-        return matmul(z, self.w_up)
+        """One branch's two k x k convs on bottleneck rows z, unscaled and rank r."""
+        return conv_rows(conv_rows(z, self.conv_down[k], grid), self.conv_up[k], grid)
 
     def forward(self, x, grid):
-        """Residual update for (B, L, C) tokens; caller adds it to x."""
+        """Residual update for (B, L, C) tokens; caller adds it to x. Row block i
+        of the fold u is w_up @ fuse_i.T / k_i**2, fuse_i the fuse's branch-i block."""
+        c = self.w_up.data.shape[1]
+        scale = np.array([[[1.0 / k ** 2]] for k in self.branch_kernels])
+        fuse = transpose(reshape(self.fuse_1x1, (c, len(scale), c)), (1, 2, 0))
+        u = reshape(matmul(self.w_up, fuse) * scale, (-1, c))
         z = matmul(x, self.w_down)
-        branches = [self.branch_forward(z, k, grid) for k in self.branch_kernels]
-        return conv_rows(concat(branches, axis=-1), self.fuse_1x1, grid)
+        return matmul(concat([self.branch_forward(z, k, grid) for k in self.branch_kernels],
+                             axis=-1), u)
 
     __call__ = forward
 

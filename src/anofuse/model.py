@@ -131,14 +131,10 @@ class GroupedModel:
         self.text_groups = [[TransformerBlock(c, config.heads, rng, f"text.g{g}.b{i}")
                              for i in range(config.blocks_per_group)] for g in range(n)]
 
-        if config.conv_lora_on:
-            self.vision_adapters = [
-                ConvLoraAdapter(c, config.rank, config.branch_kernels, rng,
-                                name=f"vision.g{g}.adapter") for g in range(n)]
-        else:
-            self.vision_adapters = [
-                LowRankAdapter(c, config.rank, rng, name=f"vision.g{g}.adapter")
-                for g in range(n)]
+        self.vision_adapters = [
+            ConvLoraAdapter(c, config.rank, config.branch_kernels, rng, name=f"vision.g{g}.adapter")
+            if config.conv_lora_on else
+            LowRankAdapter(c, config.rank, rng, name=f"vision.g{g}.adapter") for g in range(n)]
         self.text_loras = [LowRankAdapter(c, config.rank, rng, name=f"text.g{g}.lora")
                            for g in range(n)]
         self.gateway = FusionGateway(c, n, config.resolved_gate_hidden(),

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from anofuse import tensor as T
 from anofuse.adapter import ConvLoraAdapter, LowRankAdapter
@@ -20,7 +21,7 @@ def test_zero_init_branch_and_adapter_are_zero():
     x = T.Tensor(np.random.default_rng(1).normal(size=(2, 9, 4)))
     z = T.matmul(x, ad.w_down)
     for k in ad.branch_kernels:
-        assert (ad.branch_forward(z, k, (3, 3)).data == 0).all()
+        assert (ad.branch_forward(z, k, (3, 3)).data @ ad.w_up.data == 0).all()
     assert (ad(x, (3, 3)).data == 0).all()
 
 
@@ -49,7 +50,10 @@ def test_branch_matches_composition_oracle():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(1, 9, 4))
     for k in ad.branch_kernels:
-        got = ad.branch_forward(T.Tensor(x @ ad.w_down.data), k, (3, 3)).data
+        # the branch stays rank r; the up-projection and both 1/k scales
+        # are applied here as the fold applies them
+        z = ad.branch_forward(T.Tensor(x @ ad.w_down.data), k, (3, 3)).data
+        got = z @ ad.w_up.data / k**2
         want = adapter_branch_composition(x, ad, k, (3, 3))
         assert np.abs(got - want).max() < 1e-12
         assert got.shape == (1, 9, 4)
@@ -63,6 +67,15 @@ def test_adapter_matches_composition_oracle():
         got = ad(T.Tensor(x), (3, 3)).data
         want = adapter_composition(x, ad, (3, 3))
         assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("kernels", [(1,), (5,), (3, 5), (5, 3, 1)])
+def test_fold_matches_composition_oracle_across_kernel_sets(kernels):
+    ad = make_adapter(channels=6, kernels=kernels, seed=len(kernels), randomize_up=True)
+    x = np.random.default_rng(15).normal(size=(2, 15, 6))
+    want = adapter_composition(x, ad, (3, 5))
+    assert np.abs(want).max() > 1e-3  # not a comparison of zeros
+    np.testing.assert_allclose(ad(T.Tensor(x), (3, 5)).data, want, rtol=0, atol=1e-12)
 
 
 def test_shape_preservation():
@@ -140,19 +153,43 @@ def test_adapter_gradients_match_finite_differences():
     assert res.passed(), res.failures[:3]
 
 
-def test_one_call_records_no_layout_nodes():
-    ad = make_adapter(kernels=(3, 5), randomize_up=True)
-    x = T.Tensor(np.random.default_rng(14).normal(size=(2, 15, 4)))
-    seen, stack, kinds = set(), [ad(x, (3, 5))], Counter()
+def test_fold_gradients_match_finite_differences_with_a_1x1_branch():
+    ad = make_adapter(kernels=(1, 3), randomize_up=True)
+    x = T.Tensor(np.random.default_rng(16).normal(size=(2, 15, 4)))
+    params = {t.name: t for t in ad.params}
+    res = check_gradients(lambda: T.tsum(T.tanh(ad(x, (3, 5))) ** 2), params)
+    assert res.passed(), res.failures[:3]
+
+
+def test_one_call_stays_rank_r_and_moves_only_weights():
+    # C = 8 against n*r = 4, so a branch widened to C would show
+    ad = make_adapter(channels=8, rank=2, kernels=(3, 5), randomize_up=True)
+    b, l, nr = 2, 15, 4
+    x = T.Tensor(np.random.default_rng(14).normal(size=(b, l, 8)))
+    out = ad(x, (3, 5))
+    nodes, stack = {}, [out]
     while stack:
         node = stack.pop()
-        if id(node) in seen or node._vjp is None:
+        if id(node) in nodes or node._vjp is None:
             continue
-        seen.add(id(node))
-        kinds[node._vjp.__qualname__.split(".")[0]] += 1
+        nodes[id(node)] = node
         stack.extend(node._parents)
-    # one shared down-projection, one up-projection per branch
-    assert kinds == {"conv_rows": 5, "matmul": 3, "mul": 4, "concat": 1}
+    on_x = {}
+
+    def reads_x(node):
+        if id(node) not in on_x:
+            on_x[id(node)] = node is x or any(reads_x(p) for p in node._parents)
+        return on_x[id(node)]
+    kinds = Counter(n._vjp.__qualname__.split(".")[0] for n in nodes.values())
+    # shared down-projection, the (n*r, C) fold and its use; one scale
+    assert kinds == {"conv_rows": 4, "matmul": 3, "mul": 1, "concat": 1, "reshape": 2,
+                     "transpose": 1}
+    for node in nodes.values():
+        if node is not out and reads_x(node):
+            assert node.data.shape[:2] == (b, l) and node.data.shape[2] <= nr
+        if node._vjp.__qualname__.startswith(("reshape", "transpose")):
+            assert not reads_x(node)
+    assert out.data.shape == (b, l, 8)
 
 
 def test_low_rank_adapter_zero_init_and_forward():

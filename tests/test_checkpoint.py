@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,28 @@ def test_corrupt_header_rejected_naming_the_file(saved, good, bad):
     with pytest.raises(DatasetError, match="corrupt") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+# the default model's checkpoint at init: the adapter layout and these bytes
+# must not move, or checkpoints written by earlier versions stop loading
+DEFAULT_INIT_BYTES = 386102
+DEFAULT_INIT_SHA256 = "e04e9c2ca3e0cc03047da209ef4198f6d859a6d850cf889a6023ef6316c061b8"
+
+
+def test_default_checkpoint_layout_is_pinned(tmp_path):
+    model = build_model(RunConfig())
+    shapes = {"conv_down_3": (8, 8, 3, 3), "conv_up_3": (8, 8, 3, 3),
+              "conv_down_5": (8, 8, 5, 5), "conv_up_5": (8, 8, 5, 5),
+              "fuse_1x1": (64, 128, 1, 1), "w_down": (64, 8), "w_up": (8, 64)}
+    assert {name: p.data.shape for name, p in model.trainable_params().items()
+            if name.startswith("vision.")} == {
+        f"vision.g{g}.adapter.{key}": shape for g in range(3) for key, shape in shapes.items()}
+    path = tmp_path / "default.ckpt"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == (DEFAULT_INIT_BYTES,
+                                                              DEFAULT_INIT_SHA256)
+    loaded, step = load_checkpoint(path)
+    assert step == 0
+    for name, p in model.trainable_params().items():
+        np.testing.assert_array_equal(loaded.trainable_params()[name].data, p.data)
