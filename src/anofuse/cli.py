@@ -152,14 +152,12 @@ def main(argv=None):
         for flag, required in flags.items():
             p.add_argument(f"--{flag}", required=required)
         p.set_defaults(fn=fn)
-        return p
 
     add("gen", cmd_gen, config=False, out=True)
     add("train", cmd_train, config=False, out=True)
     add("eval", cmd_eval, checkpoint=True, out=False)
     add("ablate", cmd_ablate, config=False, out=True)
-    p = add("export-maps", cmd_export_maps, checkpoint=True, out=True)
-    p.prog = "anofuse export-maps"
+    add("export-maps", cmd_export_maps, checkpoint=True, out=True)
     add("selftest", cmd_selftest)
 
     args, extra = parser.parse_known_args(argv)

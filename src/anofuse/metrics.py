@@ -1,14 +1,11 @@
 """Exact ranking metrics and the evaluation report container.
 
-Both metrics read one descending sweep over the scores, with each run of
-tied scores taken as one step. auroc sums the Mann-Whitney statistic (ties
-half-credited) over the steps; average_precision adds each step's recall
-increment times its precision, in sweep order. The sweep is read only at
-step ends, where it counts the items and the positives that score >= the
-step's value; the order within a tie never shows, so value sorts serve.
-Both are exact: every intermediate is a ratio of small integers (or an
-integer multiple of one half), so results agree bit-for-bit with
-brute-force pair counting and exhaustive sweeps.
+Both metrics read the descending sweep over the scores (each run of tied
+scores one step) only at the steps that hold a positive, counted by binary
+search in the value-sorted scores and positives. auroc sums the
+Mann-Whitney statistic, ties half-credited; average_precision adds each
+step's recall increment times its precision, in sweep order. Both agree
+bit-for-bit with brute-force pair counting and exhaustive sweeps.
 """
 
 from __future__ import annotations
@@ -20,58 +17,54 @@ import numpy as np
 from .errors import UndefinedMetricError
 
 
-def _check_binary(labels):
-    labels = np.asarray(labels)
+def _checked(scores, labels):
+    """float64 scores, 0/1 labels (both 1-D, of one length) and the positive count."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    if scores.ndim != 1 or labels.shape != scores.shape:
+        raise UndefinedMetricError(f"scores {scores.shape} and labels {labels.shape} "
+                                   "must be 1-D and of one length")
     if labels.size == 0 or not ((labels == 0) | (labels == 1)).all():
         raise UndefinedMetricError("labels must be 0/1 and non-empty")
-    return labels.astype(np.int64, copy=False)
-
-
-def _descending_sweep(scores, labels):
-    """(seen, tp) at the end of each step: the count of scores >= the step's
-    value and the count of positives among them. Counts over a closed
-    threshold ignore the order within a tie, so value sorts serve."""
-    scores = np.asarray(scores, dtype=np.float64)
     if np.isnan(scores).any():
         raise UndefinedMetricError("scores contain NaN, which has no rank")
-    s = np.sort(scores)[::-1]
-    seen = np.flatnonzero(np.append(s[1:] != s[:-1], True))
-    seen += 1
+    return scores, labels, int(labels.sum())
+
+
+def _positive_steps(scores, labels):
+    """(seen, tp, tied) at each distinct positive value v, highest first: the
+    items >= v, the positives >= v and the items == v. Only steps without a
+    positive are left out. auroc's terms are multiples of 1/2 summing to at
+    most n_pos * n_neg < 2**53, so any order of sum is exact. A left-out
+    term of average_precision was (0 / n_pos) * precision = +0.0, which
+    leaves its running sum unchanged, so its sequential sum is bit-exact."""
+    s = np.sort(scores)
     pos = np.sort(scores[labels == 1])
-    return seen, pos.size - np.searchsorted(pos, s[seen - 1], side="left")
+    v = pos[np.append(pos[1:] != pos[:-1], True)][::-1]
+    below = np.searchsorted(s, v, side="left")
+    tp = pos.size - np.searchsorted(pos, v, side="left")
+    return s.size - below, tp, np.searchsorted(s, v, side="right") - below
 
 
 def auroc(scores, labels):
     """P(score_pos > score_neg) + 0.5 * P(tie), exactly."""
-    labels = _check_binary(labels)
-    n_pos = int(labels.sum())
+    scores, labels, n_pos = _checked(scores, labels)
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"auroc needs both classes, got {n_pos} positives / {n_neg} negatives")
-    seen, tp = _descending_sweep(scores, labels)
-    neg = np.diff(seen, prepend=0)
-    del seen
+    seen, tp, tied = _positive_steps(scores, labels)
     pos = np.diff(tp, prepend=0)
-    neg -= pos
-    # each negative counts the positives up to its step, its own step's at
-    # half: neg * (tp - 0.5 * pos), reduced in place
-    credit = np.multiply(pos, 0.5)
-    del pos
-    np.subtract(tp, credit, out=credit)
-    del tp
-    credit *= neg
-    return float(credit.sum()) / (n_pos * n_neg)
+    # each positive at v counts the negatives below v, those tied with it at half
+    return float((pos * (n_neg - seen + tp + 0.5 * (tied - pos))).sum()) / (n_pos * n_neg)
 
 
 def average_precision(scores, labels):
     """Precision-weighted recall increments over a descending-score sweep."""
-    labels = _check_binary(labels)
-    n_pos = int(labels.sum())
+    scores, labels, n_pos = _checked(scores, labels)
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    seen, tp = _descending_sweep(scores, labels)
-    # cumsum adds in sweep order (np.sum would pair terms); empty steps add 0.0
+    seen, tp, _ = _positive_steps(scores, labels)
+    # cumsum adds in sweep order (np.sum would pair terms)
     return float(np.cumsum((np.diff(tp, prepend=0) / n_pos) * (tp / seen))[-1])
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,58 @@ def test_order_within_ties_never_shows(case):
     assert got == auroc_pairs(scores, labels) == auroc(scores[perm], labels[perm])
     got = average_precision(scores, labels)
     assert got == ap_sweep(scores, labels) == average_precision(scores[perm], labels[perm])
+
+
+def _positive_step_cases():
+    rng = np.random.default_rng(5)
+    n = 400
+    continuous = rng.random(20_000)
+    at_infinities = rng.normal(size=n)
+    inf_labels = (rng.random(n) < 0.2).astype(int)
+    at_infinities[inf_labels == 1] = rng.choice([-np.inf, np.inf], int(inf_labels.sum()))
+    at_infinities[:10] = np.inf  # negatives tied with the positives at +inf
+    at_infinities[10:20] = -np.inf
+    inf_labels[:20] = 0
+    ends = rng.normal(size=n)
+    end_labels = np.zeros(n, dtype=int)
+    end_labels[[ends.argmin(), ends.argmax()]] = 1
+    levels = rng.integers(0, 4, n) / 4
+    top_tie = np.zeros(n, dtype=int)
+    top_tie[np.flatnonzero(levels == levels.max())[7]] = 1
+    return {
+        "continuous_20k": (continuous, (rng.random(continuous.size) < 0.05).astype(int)),
+        "positives_only_at_infinities": (at_infinities, inf_labels),
+        "positives_at_lowest_and_highest": (ends, end_labels),
+        "single_positive_in_top_tie": (levels, top_tie),
+        "no_negatives": (rng.integers(0, 16, n) / 16, np.ones(n, dtype=int)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_positive_step_cases()))
+def test_steps_without_positives_change_nothing(case):
+    # only the steps that hold a positive are read; the result must still be
+    # the full sweep's and the full pair count's, bit for bit
+    scores, labels = _positive_step_cases()[case]
+    if case == "continuous_20k":
+        assert np.unique(scores).size == scores.size
+    if (labels == 0).any():
+        assert auroc(scores, labels) == auroc_pairs(scores, labels)
+    assert average_precision(scores, labels) == ap_sweep(scores, labels)
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([0.1, 0.2, 0.3], [0, 1]),
+    ([0.1, 0.2], [0, 1, 1]),
+    (np.zeros((2, 3)), np.eye(2, 3, dtype=int)),
+    (np.zeros(6), np.eye(2, 3, dtype=int)),
+    (np.zeros((2, 3)), [0, 1, 0, 1, 0, 1]),
+    (0.5, 1),
+], ids=["labels_short", "scores_short", "both_2d", "labels_2d", "scores_2d", "scalars"])
+def test_scores_and_labels_of_other_shapes_rejected(scores, labels):
+    named = re.escape(f"scores {np.shape(scores)} and labels {np.shape(labels)}")
+    for metric in (auroc, average_precision):
+        with pytest.raises(UndefinedMetricError, match=named):
+            metric(scores, labels)
 
 
 @pytest.mark.parametrize("labels", [[], [0, 2, 1], [0, 0.5, 1], ["0", "1", "1"]],
