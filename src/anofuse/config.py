@@ -148,31 +148,21 @@ class RunConfig:
 VALID_KEYS = sorted(f.name for f in fields(RunConfig))
 
 
+BOOLEANS = (dict.fromkeys(("1", "true", "yes", "on"), True)
+            | dict.fromkeys(("0", "false", "no", "off"), False))
+
+
 def _coerce(key, raw):
-    if key == "branch_kernels":
-        try:
-            return tuple(int(p) for p in raw.replace("(", "").replace(")", "").split(",") if p.strip())
-        except ValueError:
-            raise ConfigurationError(f"cannot parse branch_kernels from {raw!r}")
     default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigurationError(f"cannot parse boolean {key} from {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigurationError(f"cannot parse integer {key} from {raw!r}")
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigurationError(f"cannot parse float {key} from {raw!r}")
-    return raw
+    try:
+        if key == "branch_kernels":
+            return tuple(int(p) for p in raw.replace("(", "").replace(")", "").split(",") if p.strip())
+        if isinstance(default, bool):
+            return BOOLEANS[raw.strip().lower()]
+        return type(default)(raw)  # int, float or str
+    except (KeyError, ValueError):
+        kind = {bool: "boolean ", int: "integer ", float: "float "}.get(type(default), "")
+        raise ConfigurationError(f"cannot parse {kind}{key} from {raw!r}")
 
 
 def apply_overrides(cfg, overrides):

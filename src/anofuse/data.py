@@ -179,6 +179,8 @@ def read_pgm(path):
     if len(blob) - pos < count * dtype.itemsize:
         raise DatasetError(f"truncated graymap data in {path}")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
+    if (data > maxval).any():
+        raise DatasetError(f"graymap {path} holds value {data.max()} above its maxval {maxval}")
     return data.reshape(height, width).astype(np.int64), maxval
 
 
@@ -201,7 +203,8 @@ def export_dataset(root, split_samples):
 
 
 def load_dataset(root, split="test"):
-    """Load one split; good images get zero masks, defects must have masks."""
+    """Load one split; good images get zero masks, and each defect needs a mask
+    that marks some pixel above half the mask's maxval."""
     root = Path(root)
     split_dir = root / split
     if not split_dir.is_dir():
@@ -221,11 +224,14 @@ def load_dataset(root, split="test"):
                 mask_path = root / "ground_truth" / "defect" / f"{sample_id}_mask.pgm"
                 if not mask_path.exists():
                     raise DatasetError(f"defect image {sample_id!r} has no mask at {mask_path}")
-                mraw, _ = read_pgm(mask_path)
+                mraw, mmax = read_pgm(mask_path)
                 if mraw.shape != arr.shape:
                     raise DatasetError(f"mask {mask_path} is {mraw.shape[1]}x{mraw.shape[0]} "
                                        f"pixels, its image is {arr.shape[1]}x{arr.shape[0]}")
-                mask = (mraw > 127).astype(np.uint8)
+                mask = (2 * mraw > mmax).astype(np.uint8)  # above half its own maxval
+                if not mask.any():
+                    raise DatasetError(f"mask {mask_path} of a defect image marks no pixel "
+                                       f"above half its maxval {mmax}")
             else:
                 mask = np.zeros_like(arr, dtype=np.uint8)
             samples.append(Sample(image=image, mask=mask, label=label, id=sample_id))

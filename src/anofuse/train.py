@@ -68,18 +68,11 @@ class TrainResult:
     test_samples: list = field(default_factory=list)
 
 
-def vision_prefix_rows(model, samples, batch_size):
-    """The model's vision prefix of every sample, one (1 + P, C) array each.
-
-    Computed `batch_size` images at a time, so the peak memory is that of a
-    training step, and copied out row by row, so each chunk is freed after
-    its turn.
-    """
-    rows = []
-    for start in range(0, len(samples), batch_size):
-        images, _, _ = batch_arrays(samples[start:start + batch_size])
-        rows.extend(row.copy() for row in model.vision_prefix(images).data)
-    return rows
+def vision_prefixes(model, samples, size):
+    """The model's vision prefix of `samples`, one (B, 1 + P, C) Tensor per
+    chunk of at most `size` images, each computed when the caller asks."""
+    for start in range(0, len(samples), size):
+        yield model.vision_prefix(batch_arrays(samples[start:start + size])[0])
 
 
 def train(config: RunConfig, corpora=None) -> TrainResult:
@@ -93,7 +86,9 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
     opt = Adam(model.trainable_params(), config.lr)
     batches = _batch_indices(len(train_samples), config.batch_size,
                              np.random.default_rng(config.data_seed + 10_000))
-    vision_rows = vision_prefix_rows(model, train_samples, config.batch_size)
+    # one copy per row, so each chunk is freed after its turn
+    vision_rows = [row.copy() for prefix in vision_prefixes(model, train_samples, config.batch_size)
+                   for row in prefix.data]
     text_prefix = model.text_prefix()
     trace = []
     for step in range(config.steps):
@@ -131,9 +126,8 @@ def predict(model, samples):
     maps, scores, weights = [], [], []
     with no_grad():
         text = model.text_forward(model.text_prefix())
-        for start in range(0, len(samples), EVAL_BATCH):
-            images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
-            amap, probs = model.forward(model.vision_prefix(images), text)
+        for prefix in vision_prefixes(model, samples, EVAL_BATCH):
+            amap, probs = model.forward(prefix, text)
             up = amap.upsampled.data
             maps.append(up)
             scores.append(image_score(probs.data[:, 1], up))

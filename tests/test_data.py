@@ -140,8 +140,48 @@ def test_pgm_maxval_outside_pgm_range_rejected(tmp_path, maxval):
     assert "flat.pgm" in str(err.value) and f"maxval {maxval}" in str(err.value)
 
 
+def test_pgm_value_above_maxval_rejected(tmp_path):
+    bad = tmp_path / "hot.pgm"
+    bad.write_bytes(b"P5 2 2 10\n" + bytes([0, 10, 200, 255]))
+    with pytest.raises(DatasetError) as err:
+        read_pgm(bad)
+    assert str(err.value) == f"graymap {bad} holds value 255 above its maxval 10"
+
+
 # ---------------------------------------------------------------------------
 # dataset tree
+
+
+def one_defect_with_mask(root, mask, maxval):
+    """Export one defect sample, then replace its mask file with `mask`."""
+    sample = gen_synthetic(data_config(anomaly_rate=1.0), seed=16, n=1, prefix="test")[0]
+    export_dataset(root, {"test": [sample]})
+    path = root / "ground_truth" / "defect" / f"{sample.id}_mask.pgm"
+    write_pgm(path, mask, maxval=maxval)
+    return path
+
+
+@pytest.mark.parametrize("maxval", [1, 255, 65535])
+def test_mask_threshold_is_half_its_maxval(tmp_path, maxval):
+    mask = np.zeros((32, 32), dtype=np.int64)
+    mask[4:8, 10:14] = maxval  # a 4x4 defect
+    mask[20, :] = maxval // 2  # at or below half the maxval: not marked
+    mask[21, :] = maxval // 2 + 1
+    one_defect_with_mask(tmp_path, mask, maxval)
+    (loaded,) = load_dataset(tmp_path, "test")
+    want = np.zeros((32, 32), dtype=np.uint8)
+    want[4:8, 10:14] = want[21, :] = 1
+    assert loaded.label == 1
+    np.testing.assert_array_equal(loaded.mask, want)
+
+
+@pytest.mark.parametrize("maxval", [1, 255])
+def test_defect_mask_marking_no_pixel_names_the_file(tmp_path, maxval):
+    path = one_defect_with_mask(tmp_path, np.full((32, 32), maxval // 2), maxval)
+    with pytest.raises(DatasetError) as err:
+        load_dataset(tmp_path, "test")
+    assert str(err.value) == (f"mask {path} of a defect image marks no pixel above half its "
+                              f"maxval {maxval}")
 
 
 def test_export_then_load_roundtrip(tmp_path):

@@ -9,7 +9,7 @@ from anofuse.losses import image_score
 from anofuse.model import build_model
 from anofuse.tensor import Tensor, no_grad
 from anofuse.train import (BETA1, BETA2, EPS, EVAL_BATCH, Adam, _batch_indices, predict, train,
-                           vision_prefix_rows)
+                           vision_prefixes)
 from anofuse.verify import randomize_trainables
 
 
@@ -21,10 +21,14 @@ def live_model():
     return model, gen_synthetic(cfg, 3, n=40)
 
 
-@pytest.mark.parametrize("b", [1, 7, 32])
-def test_gathered_prefix_rows_equal_forward(b):
+# chunks of 8 divide the 40 samples; 7 leaves a ragged last chunk of 5, and
+# 64 is one chunk larger than the split
+@pytest.mark.parametrize("b, size", [(1, 8), (7, 8), (32, 8), (1, 7), (32, 7), (7, 64), (32, 64)],
+                         ids=["1", "7", "32", "1-chunk7", "32-chunk7", "7-chunk64", "32-chunk64"])
+def test_gathered_prefix_rows_equal_forward(b, size):
     model, samples = live_model()
-    rows = vision_prefix_rows(model, samples, model.config.batch_size)
+    rows = [row.copy() for prefix in vision_prefixes(model, samples, size) for row in prefix.data]
+    assert len(rows) == len(samples)
     idx = np.random.default_rng(b).permutation(len(samples))[:b]
     images, _, _ = batch_arrays([samples[i] for i in idx])
     text = model.text_forward(model.text_prefix())
