@@ -57,9 +57,9 @@ def _write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_report(out_dir, report: MetricsReport):
+def _write_report(out_dir, report: MetricsReport, cfg: RunConfig):
     _write_lines(Path(out_dir) / "metrics.csv", report.csv_lines())
-    _write_lines(Path(out_dir) / "config.txt", report.config_echo)
+    _write_lines(Path(out_dir) / "config.txt", cfg.echo_lines())
 
 
 def cmd_gen(args, extra):
@@ -81,7 +81,7 @@ def cmd_train(args, extra):
     trace_lines += [f"{s},{t:.9g},{sg:.9g},{cl:.9g}" for s, t, sg, cl in result.trace]
     _write_lines(out / "trace.csv", trace_lines)
     report = evaluate(result.model, result.test_samples)
-    _write_report(out, report)
+    _write_report(out, report, cfg)
     if result.trace:
         print(f"trained {cfg.steps} steps; loss {result.trace[0][1]:.4f} -> "
               f"{result.trace[-1][1]:.4f}")
@@ -90,38 +90,37 @@ def cmd_train(args, extra):
 
 
 def _load_for_inference(args, extra):
-    """The --checkpoint model and the test split of its config, with any
-    command-line overrides applied to the config. The checkpoint fixes the
-    fields its model was built from, so overriding one of them fails."""
+    """The --checkpoint model, its config with any command-line overrides
+    applied, and that config's test split. The checkpoint fixes the fields
+    its model was built from, so overriding one of them fails."""
     model, _ = load_checkpoint(args.checkpoint)
     cfg = apply_overrides(model.config, _collect_overrides(extra)).validate()
     changed = [k for k in MODEL_KEYS if getattr(cfg, k) != getattr(model.config, k)]
     if changed:
         raise ConfigurationError("cannot override the checkpoint's model: " + ", ".join(
             f"{k} is {getattr(model.config, k)}" for k in changed))
-    return model, get_corpora(cfg)[1]
+    return model, cfg, get_corpora(cfg)[1]
 
 
 def cmd_eval(args, extra):
-    model, test_s = _load_for_inference(args, extra)
+    model, cfg, test_s = _load_for_inference(args, extra)
     report = evaluate(model, test_s)
     if args.out:
-        _write_report(args.out, report)
+        _write_report(args.out, report, cfg)
     print("\n".join(report.csv_lines()))
     return 0
 
 
 def cmd_ablate(args, extra):
     cfg = _resolve_config(args, extra)
-    result = ablate(cfg)
-    lines = result.csv_lines()
+    lines = ablate(cfg)
     _write_lines(Path(args.out) / "ablation.csv", lines)
     print("\n".join(lines))
     return 0
 
 
 def cmd_export_maps(args, extra):
-    model, test_s = _load_for_inference(args, extra)
+    model, _, test_s = _load_for_inference(args, extra)
     maps, scores, _ = predict(model, test_s)
     out = Path(args.out)
     index = []

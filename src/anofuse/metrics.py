@@ -85,7 +85,6 @@ class MetricsReport:
     n_pixels: int
     n_anomalous_images: int
     n_anomalous_pixels: int
-    config_echo: list = field(default_factory=list)
     level_entropy: dict = field(default_factory=dict)  # (level, state) -> mean nats
 
     def csv_lines(self):

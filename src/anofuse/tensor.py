@@ -431,7 +431,7 @@ def bilinear_matrix(src_hw, dst_hw):
         if n_src == 1:
             w[:, 0] = 1.0
             return w
-        scale = (n_src - 1) / (n_dst - 1) if n_dst > 1 else 0.0
+        scale = (n_src - 1) / (n_dst - 1)
         for i in range(n_dst):
             pos = i * scale
             lo = min(int(np.floor(pos)), n_src - 2)
@@ -479,16 +479,13 @@ def grad(loss, params):
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    # every consumer of a node comes before it in the reverse walk, so a
-    # node's gradient is complete when its turn comes; a leaf's stays here
+    # every consumer of a node comes before it in the reverse walk and hands it
+    # an array, so its gradient is complete when its turn comes; a leaf's stays
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         if node._vjp is None:
             continue
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(node._parents, node._vjp(grads.pop(id(node)))):
             if pg is None:
                 continue
             # out of place: a VJP may hand one array (or views of it)

@@ -152,6 +152,5 @@ def evaluate(model, samples) -> MetricsReport:
         n_pixels=int(pixel_labels.size),
         n_anomalous_images=int(image_labels.sum()),
         n_anomalous_pixels=int(pixel_labels.sum()),
-        config_echo=model.config.echo_lines(),
         level_entropy=entropy,
     )

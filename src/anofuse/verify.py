@@ -17,7 +17,7 @@ tensor feeds and which is computed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,13 +106,9 @@ def full_model_gradient_suite(config) -> GradCheckResult:
 
     model = build_model(config)
     randomize_trainables(model, SEED)
-    samples = gen_synthetic(config, config.data_seed, n=1, prefix="gradcheck")
-    if samples[0].label == 0:
-        # want a mixed mask so both focal branches are exercised
-        for k in range(2, 50):
-            samples = gen_synthetic(config, config.data_seed + k, n=1, prefix="gradcheck")
-            if samples[0].label == 1:
-                break
+    # a defective sample, so its mask exercises both focal branches
+    samples = gen_synthetic(replace(config, anomaly_rate=1.0), config.data_seed, n=1,
+                            prefix="gradcheck")
     images, masks, labels = batch_arrays(samples)
     prefix, text_prefix = model.vision_prefix(images), model.text_prefix()
 

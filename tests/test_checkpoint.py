@@ -117,6 +117,21 @@ def test_corrupt_header_rejected_naming_the_file(saved, good, bad):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("good,bad,message", [
+    (b"\nparams 18\n", b"\nparams 19\n", "checkpoint has 19 params, model wants 18"),
+    (b"text.g0.lora.w_up 2,8\n", b"text.g0.lora.w_uq 2,8\n",
+     "unknown parameter 'text.g0.lora.w_uq' in checkpoint"),
+], ids=["param_count", "unknown_param"])
+def test_parameters_other_than_the_models_rejected_naming_the_file(saved, good, bad, message):
+    _, path = saved
+    blob = path.read_bytes()
+    assert good in blob
+    path.write_bytes(blob.replace(good, bad, 1))
+    with pytest.raises(DatasetError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 # the default model's checkpoint at init: the adapter layout and these bytes
 # must not move, or checkpoints written by earlier versions stop loading
 DEFAULT_INIT_BYTES = 386102

@@ -1,10 +1,15 @@
+import hashlib
 import re
 import warnings
 
 import pytest
 
 from anofuse.cli import main
+from anofuse.data import read_pgm
 from test_golden import TINY
+
+# ablation.csv of TINY at --steps 2, on the numpy/BLAS build of test_golden's pins
+ABLATION_SHA256 = "09731b1c7cc1e8584bdb9d8c9fae3770f95a075d40a53e8dbe07266c7c78ba2e"
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +34,16 @@ def test_eval_of_checkpoint_reproduces_training_metrics(run_dir, tmp_path, capsy
     assert capsys.readouterr().out == (run_dir / "metrics.csv").read_text()
 
 
+def test_eval_out_echoes_the_config_it_scored(run_dir, tmp_path):
+    ckpt = str(run_dir / "checkpoint.bin")
+    assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "same")]) == 0
+    assert (tmp_path / "same" / "config.txt").read_bytes() == (run_dir / "config.txt").read_bytes()
+    assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "other"), "--texture",
+                 "sinusoid", "--delta_min", "1", "--delta_max", "1.5"]) == 0
+    echo = (tmp_path / "other" / "config.txt").read_text().splitlines()
+    assert {"texture = sinusoid", "delta_min = 1.0", "delta_max = 1.5"} <= set(echo)
+
+
 def test_export_maps_writes_one_map_per_test_image(run_dir, tmp_path):
     assert main(["export-maps", "--checkpoint", str(run_dir / "checkpoint.bin"),
                  "--out", str(tmp_path)]) == 0
@@ -41,6 +56,21 @@ def test_ablate_writes_four_rows(tmp_path):
     assert main(["ablate", "--out", str(tmp_path)] + TINY + ["--steps", "2"]) == 0
     lines = (tmp_path / "ablation.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["baseline", "conv_lora", "dfg", "full"]
+    assert hashlib.sha256((tmp_path / "ablation.csv").read_bytes()).hexdigest() == ABLATION_SHA256
+
+
+def test_one_patch_grid_exports_maps_constant_within_each_image(tmp_path):
+    # image_size = patch_size: a 1x1 token grid, upsampled from a single value
+    one_patch = ["--image_size", "4", "--patch_size", "4", "--defect_min", "1",
+                 "--defect_max", "4", "--texture", "sinusoid"]
+    assert main(["train", "--out", str(tmp_path / "run")] + TINY + one_patch) == 0
+    assert main(["export-maps", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                 "--out", str(tmp_path / "maps")]) == 0
+    index = (tmp_path / "maps" / "index.txt").read_text().splitlines()
+    assert len(index) == 12
+    for line in index:
+        amap, _ = read_pgm(tmp_path / "maps" / f"{line.split()[0]}.pgm")
+        assert amap.shape == (4, 4) and (amap == amap[0, 0]).all()
 
 
 def test_eval_on_images_of_another_size_is_one_error_line(run_dir, tmp_path, capsys):
@@ -240,6 +270,8 @@ def test_data_override_on_a_checkpoint_is_applied(run_dir, capsys):
     ["export-maps", "--checkpoint", "CKPT", "--out", "OUT", "--config", "CFG"],
     ["selftest", "--config", "CFG"],
     ["selftest", "--bogus", "1"],
+    ["eval", "--checkpoint", "CKPT", "--n_test"],
+    ["eval", "--checkpoint", "CKPT", "n_test", "3"],
 ])
 def test_config_file_or_stray_argument_where_none_is_read_is_one_error_line(
         run_dir, tmp_path, argv, capsys):

@@ -129,9 +129,21 @@ SMALL_IMAGES = {"image_size": 4, "patch_size": 4, "defect_min": 1, "defect_max":
     # ... and these back stripped
     ({"data_dir": "D "}, "data_dir='D ' (whitespace at either end would read back stripped)"),
     ({"data_dir": "\tD"}, "data_dir='\\tD' (whitespace at either end"),
+    ({"n_groups": 0}, "n_groups=0 (need >= 1)"),
+    ({"blocks_per_group": 0}, "blocks_per_group=0 (need >= 1)"),
+    ({"channels": 30}, "channels=30 not divisible by heads=4"),
+    ({"image_size": 30}, "image_size=30 not divisible by patch_size=8"),
+    ({"gate_hidden": -1}, "gate_hidden=-1 (need >= 0)"),
+    ({"steps": -1}, "steps=-1 (need >= 0)"),
+    ({"batch_size": 0}, "batch_size=0 (need >= 1)"),
+    ({"defect_min": 9, "defect_max": 8}, "defect size range [9, 8]"),
+    ({"n_test": 0}, "n_train=200, n_test=0 (need >= 1)"),
+    ({"texture": "wood"}, "texture='wood' (noise|sinusoid|mixed)"),
 ], ids=["zero_heads", "negative_heads", "zero_patch", "negative_patch", "oversized_defect",
         "small_noise_images", "small_mixed_images", "hash_after_space", "hash_first",
-        "hash_after_tab", "trailing_space", "leading_tab"])
+        "hash_after_tab", "trailing_space", "leading_tab", "zero_groups", "zero_blocks",
+        "channels_per_head", "image_per_patch", "negative_gate_hidden", "negative_steps",
+        "zero_batch", "defect_range", "zero_test_images", "unknown_texture"])
 def test_shape_and_data_settings_validated(override, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         RunConfig(**override).validate()

@@ -123,6 +123,19 @@ def test_pgm_corrupt_header_names_path(tmp_path):
     assert "bad.pgm" in str(err.value)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda path: path.mkdir(), "cannot read graymap {path}: "),
+    (lambda path: path.write_bytes(b"P5\n2 x\n255\n" + bytes(4)),
+     "corrupt graymap header in {path}"),
+], ids=["directory", "header_after_magic"])
+def test_unreadable_or_corrupt_graymap_names_the_file(tmp_path, make, message):
+    path = tmp_path / "x.pgm"
+    make(path)
+    with pytest.raises(DatasetError) as err:
+        read_pgm(path)
+    assert str(err.value).startswith(message.format(path=path))
+
+
 def test_pgm_truncated_data_rejected(tmp_path):
     bad = tmp_path / "short.pgm"
     bad.write_bytes(b"P5\n4 4\n255\n\x00\x01")
@@ -182,6 +195,13 @@ def test_defect_mask_marking_no_pixel_names_the_file(tmp_path, maxval):
         load_dataset(tmp_path, "test")
     assert str(err.value) == (f"mask {path} of a defect image marks no pixel above half its "
                               f"maxval {maxval}")
+
+
+def test_mask_of_another_size_than_its_image_names_the_file(tmp_path):
+    path = one_defect_with_mask(tmp_path, np.ones((16, 16), dtype=np.int64), 255)
+    with pytest.raises(DatasetError) as err:
+        load_dataset(tmp_path, "test")
+    assert str(err.value) == f"mask {path} is 16x16 pixels, its image is 32x32"
 
 
 def test_export_then_load_roundtrip(tmp_path):
