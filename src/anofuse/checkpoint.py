@@ -11,6 +11,7 @@ import numpy as np
 
 from .config import parse_config_text
 from .errors import DatasetError
+from .model import build_model
 
 MAGIC = b"anofuse-ckpt v2\n"
 
@@ -60,8 +61,6 @@ def _count(line, key, path):
 def load_checkpoint(path):
     """Rebuild the model from the stored config, check its frozen backbone
     against the stored digest, then load the trainable parameters."""
-    from .model import build_model
-
     blob = Path(path).read_bytes()
     if not blob.startswith(MAGIC):
         if MAGIC.startswith(blob):

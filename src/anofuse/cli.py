@@ -19,11 +19,11 @@ from .ablation import ablate
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, parse_config_text
 from .data import export_dataset, get_corpora, synthetic_corpora, write_pgm
-from .errors import (ConfigurationError, DatasetError, ShapeError, TrainingError,
-                     UndefinedMetricError)
+from .errors import AnofuseError, ConfigurationError
 from .metrics import MetricsReport
 from .model import MODEL_KEYS
 from .train import evaluate, predict, train
+from .verify import run_selftest
 
 
 def _collect_overrides(extra):
@@ -74,13 +74,14 @@ def cmd_gen(args, extra):
 
 def cmd_train(args, extra):
     cfg = _resolve_config(args, extra)
-    result = train(cfg)
+    corpora = get_corpora(cfg)
+    result = train(cfg, corpora)
     out = Path(args.out)
     save_checkpoint(result.model, out / "checkpoint.bin", step=cfg.steps)
     trace_lines = ["step,total,seg,cls"]
     trace_lines += [f"{s},{t:.9g},{sg:.9g},{cl:.9g}" for s, t, sg, cl in result.trace]
     _write_lines(out / "trace.csv", trace_lines)
-    report = evaluate(result.model, result.test_samples)
+    report = evaluate(result.model, corpora[1])
     _write_report(out, report, cfg)
     if result.trace:
         print(f"trained {cfg.steps} steps; loss {result.trace[0][1]:.4f} -> "
@@ -114,13 +115,15 @@ def cmd_eval(args, extra):
 def cmd_ablate(args, extra):
     cfg = _resolve_config(args, extra)
     lines = ablate(cfg)
-    _write_lines(Path(args.out) / "ablation.csv", lines)
+    out = Path(args.out)
+    _write_lines(out / "ablation.csv", lines)
+    _write_lines(out / "config.txt", cfg.echo_lines())
     print("\n".join(lines))
     return 0
 
 
 def cmd_export_maps(args, extra):
-    model, _, test_s = _load_for_inference(args, extra)
+    model, cfg, test_s = _load_for_inference(args, extra)
     maps, scores, _ = predict(model, test_s)
     out = Path(args.out)
     index = []
@@ -128,12 +131,12 @@ def cmd_export_maps(args, extra):
         write_pgm(out / f"{s.id}.pgm", np.round(m * 65535.0).astype(np.uint16), maxval=65535)
         index.append(f"{s.id} {sc:.9g}")
     _write_lines(out / "index.txt", index)
+    _write_lines(out / "config.txt", cfg.echo_lines())
     print(f"wrote {len(index)} maps to {out}")
     return 0
 
 
 def cmd_selftest(args, extra):
-    from .verify import run_selftest
     if extra:
         raise ConfigurationError(f"selftest takes no arguments, got {' '.join(extra)}")
     return 0 if run_selftest() else 1
@@ -162,8 +165,7 @@ def main(argv=None):
     args, extra = parser.parse_known_args(argv)
     try:
         return args.fn(args, extra)
-    except (ConfigurationError, DatasetError, ShapeError, TrainingError,
-            UndefinedMetricError, OSError, MemoryError) as exc:
+    except (AnofuseError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

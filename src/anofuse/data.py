@@ -240,8 +240,8 @@ def load_dataset(root, split="test"):
 
 
 def batch_arrays(samples):
-    """Stack samples into (B,1,H,W) images, (B,H,W) masks, (B,) labels."""
-    images = np.stack([s.image for s in samples])[:, None, :, :]
+    """Stack samples into (B,H,W) images, (B,H,W) masks, (B,) labels."""
+    images = np.stack([s.image for s in samples])
     masks = np.stack([s.mask for s in samples]).astype(np.float64)
     labels = np.array([s.label for s in samples], dtype=np.int64)
     return images, masks, labels

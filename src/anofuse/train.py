@@ -3,12 +3,12 @@ non-finite loss, a numpy FPE or an all-zero gradient) and evaluation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .data import batch_arrays, get_corpora
+from .data import batch_arrays
 from .errors import TrainingError
 from .gateway import STATES
 from .losses import image_score, model_loss
@@ -64,8 +64,7 @@ def _batch_indices(n, batch_size, rng):
 @dataclass
 class TrainResult:
     model: object
-    trace: list = field(default_factory=list)  # (step, total, seg, cls)
-    test_samples: list = field(default_factory=list)
+    trace: list  # (step, total, seg, cls)
 
 
 def vision_prefixes(model, samples, size):
@@ -75,21 +74,22 @@ def vision_prefixes(model, samples, size):
         yield model.vision_prefix(batch_arrays(samples[start:start + size])[0])
 
 
-def train(config: RunConfig, corpora=None) -> TrainResult:
-    """Deterministic training run; aborts with the trace on divergence or a zero gradient.
+def train(config: RunConfig, corpora) -> TrainResult:
+    """Deterministic training run on corpora[0], a (train, test) pair whose
+    test split it does not read; aborts with the trace on divergence or a
+    zero gradient.
 
-    The frozen prefix of every training image and of the prompts is
-    computed once per run; each step gathers its batch's rows.
+    The frozen vision prefix of every training image is computed once per
+    run; each step gathers its batch's rows.
     """
     model = build_model(config)
-    train_samples, test_samples = corpora if corpora is not None else get_corpora(config)
+    train_samples = corpora[0]
     opt = Adam(model.trainable_params(), config.lr)
     batches = _batch_indices(len(train_samples), config.batch_size,
                              np.random.default_rng(config.data_seed + 10_000))
     # one copy per row, so each chunk is freed after its turn
     vision_rows = [row.copy() for prefix in vision_prefixes(model, train_samples, config.batch_size)
                    for row in prefix.data]
-    text_prefix = model.text_prefix()
     trace = []
     for step in range(config.steps):
         idx = next(batches)
@@ -99,7 +99,7 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
             # numpy overflow, invalid or divide ends the run; Adam runs outside
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    out = model.forward(prefix, model.text_forward(text_prefix))
+                    out = model.forward(prefix, model.text_forward())
                     total, seg, cls = model_loss(out, masks, labels, config)
                     if not np.isfinite(total.data):
                         raise TrainingError(f"step {step}: non-finite loss {float(total.data)}")
@@ -113,7 +113,7 @@ def train(config: RunConfig, corpora=None) -> TrainResult:
             raise
         opt.step(grads)
         trace.append((step, float(total.data), float(seg.data), float(cls.data)))
-    return TrainResult(model=model, trace=trace, test_samples=test_samples)
+    return TrainResult(model=model, trace=trace)
 
 
 def predict(model, samples):
@@ -125,7 +125,7 @@ def predict(model, samples):
     """
     maps, scores, weights = [], [], []
     with no_grad():
-        text = model.text_forward(model.text_prefix())
+        text = model.text_forward()
         for prefix in vision_prefixes(model, samples, EVAL_BATCH):
             amap, probs = model.forward(prefix, text)
             up = amap.upsampled.data

@@ -21,8 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gateway import STATES
-from .losses import model_loss
+from .adapter import ConvLoraAdapter
+from .config import RunConfig
+from .data import batch_arrays, gen_synthetic
+from .gateway import STATES, FusionGateway
+from .losses import dice_loss, focal_loss, model_loss, seg_loss
+from .metrics import auroc, average_precision
+from .model import TransformerBlock, build_model
 from .tensor import (Tensor, conv_rows, gelu, grad, layer_norm, matmul, no_grad, reshape, softmax,
                      transpose, tsum)
 
@@ -101,19 +106,16 @@ def full_model_gradient_suite(config) -> GradCheckResult:
     SEED, and check reverse-mode gradients of the total loss on one batch
     against central finite differences, entry by entry over every trainable
     parameter."""
-    from .data import batch_arrays, gen_synthetic
-    from .model import build_model
-
     model = build_model(config)
     randomize_trainables(model, SEED)
     # a defective sample, so its mask exercises both focal branches
     samples = gen_synthetic(replace(config, anomaly_rate=1.0), config.data_seed, n=1,
                             prefix="gradcheck")
     images, masks, labels = batch_arrays(samples)
-    prefix, text_prefix = model.vision_prefix(images), model.text_prefix()
+    prefix = model.vision_prefix(images)
 
     def loss():
-        out = model.forward(prefix, model.text_forward(text_prefix))
+        out = model.forward(prefix, model.text_forward())
         return model_loss(out, masks, labels, config)[0]
     return check_gradients(loss, model.trainable_params())
 
@@ -251,20 +253,12 @@ def half_bce(pred, target):
 
 
 def _selftest_config():
-    from .config import RunConfig
     return RunConfig(n_groups=2, channels=16, heads=2, rank=2, gate_hidden=4,
                      patch_size=8, image_size=16, defect_min=3, defect_max=8)
 
 
 def run_selftest():
     """Gradient checks and oracle suites; True when everything passes."""
-    from .adapter import ConvLoraAdapter
-    from .config import RunConfig
-    from .gateway import FusionGateway
-    from .losses import dice_loss, focal_loss, seg_loss
-    from .metrics import auroc, average_precision
-    from .model import TransformerBlock
-
     ok = True
 
     def report(name, passed, detail=""):

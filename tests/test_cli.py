@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 import re
 import warnings
 
 import pytest
 
+from anofuse import errors
 from anofuse.cli import main
 from anofuse.data import read_pgm
 from test_golden import TINY
@@ -57,6 +59,14 @@ def test_ablate_writes_four_rows(tmp_path):
     lines = (tmp_path / "ablation.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["baseline", "conv_lora", "dfg", "full"]
     assert hashlib.sha256((tmp_path / "ablation.csv").read_bytes()).hexdigest() == ABLATION_SHA256
+
+
+def test_ablate_and_export_maps_echo_the_config_they_ran_with(run_dir, tmp_path):
+    assert main(["ablate", "--out", str(tmp_path / "ablate")] + TINY + ["--steps", "2"]) == 0
+    assert "steps = 2" in (tmp_path / "ablate" / "config.txt").read_text().splitlines()
+    assert main(["export-maps", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(tmp_path / "maps"), "--texture", "sinusoid"]) == 0
+    assert "texture = sinusoid" in (tmp_path / "maps" / "config.txt").read_text().splitlines()
 
 
 def test_one_patch_grid_exports_maps_constant_within_each_image(tmp_path):
@@ -289,3 +299,12 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "gradient suite vs finite differences (1968 entries," in out[-2]
     assert out[-1] == "selftest PASSED"
+
+
+def test_every_package_error_derives_from_the_one_main_reports():
+    # `main` catches AnofuseError, so a new error class outside it would
+    # escape as a traceback
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(c, BaseException) and c.__module__ == errors.__name__]
+    assert len(classes) == 6
+    assert all(issubclass(c, errors.AnofuseError) for c in classes)

@@ -267,7 +267,7 @@ def test_batch_arrays_shapes():
     cfg = data_config()
     samples = gen_synthetic(cfg, seed=14, n=3)
     images, masks, labels = batch_arrays(samples)
-    assert images.shape == (3, 1, 32, 32)
+    assert images.shape == (3, 32, 32)
     assert masks.shape == (3, 32, 32)
     assert labels.shape == (3,)
     assert images.dtype == np.float64 and masks.dtype == np.float64

@@ -14,6 +14,7 @@ import numpy as np
 
 from anofuse.cli import main
 from anofuse.config import RunConfig
+from anofuse.data import get_corpora
 from anofuse.train import evaluate, predict, train
 from anofuse.verify import full_model_gradient_suite
 
@@ -67,14 +68,16 @@ def _le_bytes(array):
 def test_default_shape_run_is_pinned():
     # the tiny run above misses last-bit changes that only the default
     # channel count, group count and kernel set expose
-    result = train(RunConfig(steps=3, n_train=16, n_test=4))
+    cfg = RunConfig(steps=3, n_train=16, n_test=4)
+    corpora = get_corpora(cfg)
+    result = train(cfg, corpora)
     assert [tuple(float(x).hex() for x in row[1:]) for row in result.trace] == DEFAULT_TRACE
     params = result.model.trainable_params()
     assert _sha(b"".join(_le_bytes(params[k].data) for k in sorted(params))) == \
         DEFAULT_TRAINABLES_SHA256
-    maps, _, _ = predict(result.model, result.test_samples)
+    maps, _, _ = predict(result.model, corpora[1])
     assert _sha(_le_bytes(maps)) == DEFAULT_MAPS_SHA256
-    report = evaluate(result.model, result.test_samples)
+    report = evaluate(result.model, corpora[1])
     assert tuple(x.hex() for x in (report.pixel_auroc, report.pixel_ap, report.image_auroc,
                                    report.image_ap)) == DEFAULT_REPORT
 

@@ -10,7 +10,8 @@ from anofuse.errors import ShapeError
 from anofuse.losses import model_loss
 from anofuse.model import PROMPTS, VOCAB, TransformerBlock, build_model
 from anofuse.tensor import Tensor, grad, no_grad, tsum
-from anofuse.verify import block_composition, block_input_gradients, check_gradients
+from anofuse.verify import (block_composition, block_input_gradients, check_gradients,
+                            randomize_trainables)
 
 
 def small_config(**kw):
@@ -22,7 +23,7 @@ def small_config(**kw):
 
 def rand_images(cfg, b=2, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 1.0, (b, 1, cfg.image_size, cfg.image_size))
+    return rng.uniform(0.0, 1.0, (b, cfg.image_size, cfg.image_size))
 
 
 def test_patchify_token_count():
@@ -37,7 +38,7 @@ def test_patchify_zero_embed_gives_zero_patch_tokens():
     m = build_model(cfg)
     m.patch_w.data[:] = 0.0
     m.vis_pos.data[:] = 0.0
-    tokens = m.patchify(np.full((2, 1, 16, 16), 0.7))
+    tokens = m.patchify(np.full((2, 16, 16), 0.7))
     assert (tokens.data[:, 1:, :] == 0).all()
     np.testing.assert_array_equal(tokens.data[:, 0, :],
                                   np.broadcast_to(m.cls_token.data, (2, 16)))
@@ -53,7 +54,7 @@ def test_patchify_matches_loop_oracle():
     for b in range(2):
         for gy in range(g):
             for gx in range(g):
-                pix = images[b, 0, gy * p:(gy + 1) * p, gx * p:(gx + 1) * p].ravel()
+                pix = images[b, gy * p:(gy + 1) * p, gx * p:(gx + 1) * p].ravel()
                 want = pix @ m.patch_w.data + m.vis_pos.data[1 + gy * g + gx]
                 got = tokens[b, 1 + gy * g + gx]
                 assert np.abs(got - want).max() < 1e-12
@@ -62,7 +63,13 @@ def test_patchify_matches_loop_oracle():
 def test_patchify_rejects_indivisible():
     m = build_model(small_config())
     with pytest.raises(ShapeError):
-        m.patchify(np.zeros((1, 1, 15, 16)))
+        m.patchify(np.zeros((1, 15, 16)))
+
+
+def test_patchify_rejects_a_channel_axis():
+    m = build_model(small_config())
+    with pytest.raises(ShapeError, match=r"\(1, 1, 16, 16\)"):
+        m.patchify(np.zeros((1, 1, 16, 16)))
 
 
 def test_zero_init_adapters_do_not_change_backbone():
@@ -121,7 +128,7 @@ def embed_alone(m, state):
 def test_text_forward_zero_init_matches_frozen_stack():
     cfg = small_config()
     m = build_model(cfg)
-    t_feats = m.text_forward(m.text_prefix())
+    t_feats = m.text_forward()
     assert t_feats.data.shape == (cfg.n_groups, 2, cfg.channels)
     for s, state in enumerate(("normal", "abnormal")):
         x = embed_alone(m, state)
@@ -131,13 +138,29 @@ def test_text_forward_zero_init_matches_frozen_stack():
             np.testing.assert_array_equal(t_feats.data[g, s], x.data[0, -1, :])
 
 
+def test_text_prefix_is_a_constant_of_the_frozen_group0_stack():
+    cfg = small_config()
+    m = build_model(cfg)
+    prefix = m.text_prefix
+    assert prefix._parents == () and not prefix.requires_grad
+    for s, state in enumerate(("normal", "abnormal")):
+        x = embed_alone(m, state)
+        for blk in m.text_groups[0]:
+            x = blk(x)
+        np.testing.assert_array_equal(prefix.data[s], x.data[0])
+    randomize_trainables(m, 19)
+    first = m.text_forward().data.copy()
+    np.testing.assert_array_equal(m.text_forward().data, first)
+    assert m.text_prefix is prefix
+
+
 @pytest.mark.parametrize("cfg", [small_config(n_groups=3), RunConfig()], ids=["small", "default"])
 def test_stacked_text_forward_equals_each_prompt_alone_bitwise(cfg):
     m = build_model(cfg)
     rng = np.random.default_rng(18)
     for lo in m.text_loras:
         lo.w_up.data[:] = rng.normal(0, 0.5, lo.w_up.data.shape)
-    t_feats = m.text_forward(m.text_prefix())
+    t_feats = m.text_forward()
     for s, state in enumerate(("normal", "abnormal")):
         x = embed_alone(m, state)
         for g in range(cfg.n_groups):
@@ -148,11 +171,11 @@ def test_stacked_text_forward_equals_each_prompt_alone_bitwise(cfg):
     assert not np.array_equal(t_feats.data[-1, 0], t_feats.data[-1, 1])
 
 
-def test_identical_prompts_give_identical_state_features():
+def test_identical_prompts_give_identical_state_features(monkeypatch):
     cfg = small_config()
+    monkeypatch.setitem(PROMPTS, "abnormal", PROMPTS["normal"])
     m = build_model(cfg)
-    m.prompt_ids[1] = m.prompt_ids[0]
-    t_feats = m.text_forward(m.text_prefix())
+    t_feats = m.text_forward()
     for g in range(cfg.n_groups):
         np.testing.assert_array_equal(t_feats.data[g, 0], t_feats.data[g, 1])
 
@@ -221,7 +244,7 @@ def test_group_counts_build_and_run(n):
     m = build_model(cfg)
     with no_grad():
         amap, probs = m.forward(m.vision_prefix(rand_images(cfg, 1, seed=10)),
-                                m.text_forward(m.text_prefix()))
+                                m.text_forward())
     assert amap.per_level.data.shape == (n, 1) + m.grid
     assert probs.data.shape == (1, 2)
 
@@ -232,7 +255,7 @@ def test_batch_permutation_equivariance():
     images = rand_images(cfg, 4, seed=11)
     perm = np.array([2, 0, 3, 1])
     with no_grad():
-        text = m.text_forward(m.text_prefix())
+        text = m.text_forward()
         prefix, prefix_p = m.vision_prefix(images), m.vision_prefix(images[perm])
         (amap, probs), (amap_p, probs_p) = m.forward(prefix, text), m.forward(prefix_p, text)
         v_cls, v_cls_p = m.vision_forward(prefix)[1], m.vision_forward(prefix_p)[1]
@@ -277,16 +300,17 @@ def test_fused_block_input_gradient_matches_composed_oracle(b, l, c, heads):
 @pytest.mark.parametrize("cfg", [small_config(blocks_per_group=2), RunConfig()],
                          ids=["two-blocks-per-group", "default"])
 def test_model_forward_equals_composed_block_oracle(monkeypatch, cfg):
-    m = build_model(cfg)
-    rng = np.random.default_rng(15)
-    for ad in m.vision_adapters + m.text_loras:
-        ad.w_up.data[:] = rng.normal(0, 0.2, ad.w_up.data.shape)
     images = rand_images(cfg, 3, seed=16)
 
     def run():
+        # built inside, so the text prefix goes through the patched blocks too
+        m = build_model(cfg)
+        rng = np.random.default_rng(15)
+        for ad in m.vision_adapters + m.text_loras:
+            ad.w_up.data[:] = rng.normal(0, 0.2, ad.w_up.data.shape)
         with no_grad():
             prefix = m.vision_prefix(images)
-            amap, probs = m.forward(prefix, m.text_forward(m.text_prefix()))
+            amap, probs = m.forward(prefix, m.text_forward())
             v_list, v_cls = m.vision_forward(prefix)
         return [amap.upsampled.data, probs.data, v_cls.data] + [v.data for v in v_list]
     fused = run()
@@ -349,7 +373,7 @@ def test_gateway_records_as_many_nodes_at_any_group_count():
         cfg = small_config(n_groups=n)
         m = build_model(cfg)
         v_list, _ = m.vision_forward(m.vision_prefix(rand_images(cfg, 2, seed=19)))
-        text = m.text_forward(m.text_prefix())
+        text = m.text_forward()
         amap = m.gateway.forward(v_list, text, m.grid, (cfg.image_size, cfg.image_size))
         kinds.append(_node_kinds(amap.upsampled, v_list + [text]))
     assert kinds[0] == kinds[1] and kinds[0]["softmax"] == 3  # two gates, one map
@@ -358,8 +382,7 @@ def test_gateway_records_as_many_nodes_at_any_group_count():
 def test_text_forward_records_one_stack_and_one_slice_per_group():
     for n in (2, 4):
         m = build_model(small_config(n_groups=n))
-        prefix = m.text_prefix()
-        kinds = _node_kinds(m.text_forward(prefix), [prefix])
+        kinds = _node_kinds(m.text_forward(), [m.text_prefix])
         assert kinds["stack"] == 1 and kinds["slice_tensor"] == n
 
 
@@ -367,7 +390,7 @@ def _default_step_loss():
     cfg = RunConfig()
     m = build_model(cfg)
     out = m.forward(m.vision_prefix(rand_images(cfg, 2, seed=20)),
-                    m.text_forward(m.text_prefix()))
+                    m.text_forward())
     masks = np.zeros((2, cfg.image_size, cfg.image_size))
     masks[1, 4:12, 8:16] = 1.0
     total, _, _ = model_loss(out, masks, np.array([0, 1]), cfg)

@@ -31,7 +31,7 @@ def test_gathered_prefix_rows_equal_forward(b, size):
     assert len(rows) == len(samples)
     idx = np.random.default_rng(b).permutation(len(samples))[:b]
     images, _, _ = batch_arrays([samples[i] for i in idx])
-    text = model.text_forward(model.text_prefix())
+    text = model.text_forward()
     prefix, gathered = model.vision_prefix(images), Tensor(np.stack([rows[i] for i in idx]))
     want_map, want_probs = model.forward(prefix, text)
     got_map, got_probs = model.forward(gathered, text)
@@ -48,7 +48,7 @@ def test_predict_equals_forward_batch_by_batch():
     model, samples = live_model()
     maps, scores, weights = predict(model, samples)
     with no_grad():
-        text = model.text_forward(model.text_prefix())
+        text = model.text_forward()
         for start in range(0, len(samples), EVAL_BATCH):
             images, _, _ = batch_arrays(samples[start:start + EVAL_BATCH])
             prefix = model.vision_prefix(images)
