@@ -9,18 +9,16 @@ are drawn once from the model seed and never receive gradients. So a
 frozen transformer block is one graph node whose hand-written VJP
 computes the gradient of its input alone, never of its weights.
 
-A subgraph with no trainable input is a constant. The text prefix is one:
-the group-0 text blocks on both fixed prompts at once. The model computes
-it once when built and keeps it as `text_prefix`, so `text_forward()`
-takes no argument and returns the (N, S, C) text features. The vision
-prefix, patchify plus the group-0 vision blocks for each image
-(`vision_prefix`), belongs to the caller: `train` computes it once per
-training image, since it costs about 5.9 ms per chunk of 32 images. The
-one forward path, `forward(vision_prefix, text)`, starts from the vision
-prefix and the text features, and returns both heads: the gateway's
-anomaly maps and the image head, `state_probs` of the class token against
-the final group's unfused text pair. The model keeps no state between
-calls.
+A subgraph with no trainable input is a constant. The text prefix, the
+group-0 text blocks on both fixed prompts at once, is a model constant:
+it is computed when the model is built and kept as `text_prefix`, so
+`text_forward()` takes no argument. Only the vision prefix, patchify plus
+the group-0 vision blocks of each image (`vision_prefix`), belongs to the
+caller; `train` caches it per training image, since it costs about 5.7 ms
+per chunk of 32 images. The one forward path, `forward(vision_prefix,
+text)`, takes the (N, S, C) `text_forward` features and returns both
+heads: the gateway's anomaly maps and the image head, `state_probs` of the
+class token against the final group's unfused text pair.
 """
 
 from __future__ import annotations
