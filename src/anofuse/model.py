@@ -45,7 +45,7 @@ def attention(qkv, scale):
     """Scaled dot-product attention of stacked (3, B, H, L, d) queries, keys
     and values: the (B, H, L, d) output and the (B, H, L, L) weights."""
     q, k, v = qkv
-    attn = softmax_fwd(np.matmul(q, np.swapaxes(k, -1, -2)) * scale)
+    attn = softmax_fwd(np.matmul(q, k.swapaxes(-1, -2)) * scale)
     return np.matmul(attn, v), attn
 
 
@@ -53,9 +53,9 @@ def attention_bwd(do, qkv, attn, scale):
     """Gradient of `attention` w.r.t. its stacked queries, keys and values,
     from the output gradient `do`; same (3, B, H, L, d) layout."""
     q, k, v = qkv
-    ds = softmax_bwd(np.matmul(do, np.swapaxes(v, -1, -2)), attn) * scale
-    return np.stack([np.matmul(ds, k), np.matmul(np.swapaxes(ds, -1, -2), q),
-                     np.matmul(np.swapaxes(attn, -1, -2), do)])
+    ds = softmax_bwd(np.matmul(do, v.swapaxes(-1, -2)), attn) * scale
+    return np.concatenate([np.matmul(ds, k)[None], np.matmul(ds.swapaxes(-1, -2), q)[None],
+                           np.matmul(attn.swapaxes(-1, -2), do)[None]])
 
 
 class TransformerBlock:
@@ -163,9 +163,10 @@ class GroupedModel:
             raise ShapeError(f"image {hpx}x{wpx} not divisible by patch size {p}")
         gh, gw = hpx // p, wpx // p
         patches = images.reshape(b, gh, p, gw, p).transpose(0, 1, 3, 2, 4).reshape(b, gh * gw, p * p)
-        tokens = patches @ self.patch_w.data
-        cls = np.broadcast_to(self.cls_token.data, (b, 1, tokens.shape[-1]))
-        seq = np.concatenate([cls, tokens], axis=1) + self.vis_pos.data
+        seq = np.empty((b, 1 + gh * gw, self.config.channels))
+        seq[:, 0] = self.cls_token.data
+        seq[:, 1:] = patches @ self.patch_w.data
+        seq += self.vis_pos.data
         return Tensor(seq)
 
     def vision_prefix(self, images):

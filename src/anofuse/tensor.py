@@ -8,10 +8,17 @@ validated against central finite differences in the test suite.
 
 Layout convention: token sequences are (B, L, C) rows of a row-major
 (H, W) patch grid; convolutions run on those rows.
+
+Hot-path code calls numpy's C entry points, never its Python-level wrappers
+(`np.add.reduce(x, axis) / n` for `x.mean(axis)`, `np.maximum.reduce` for
+`x.max`, ndarray methods for `np.swapaxes` and `np.take`, slices for
+`np.split`): each gives the same bits, and at batch 1 the wrappers cost more
+than the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -81,7 +88,7 @@ class Tensor:
 
 
 def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else _node(np.asarray(x, dtype=np.float64), (), None)
 
 
 def _node(data, parents, vjp):
@@ -89,14 +96,16 @@ def _node(data, parents, vjp):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.name = ""
-    if _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    if _GRAD_ENABLED[-1]:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._vjp = vjp
+                return out
+    out.requires_grad = False
+    out._parents = ()
+    out._vjp = None
     return out
 
 
@@ -106,10 +115,10 @@ def _unbroadcast(g, shape):
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axes, keepdims=True)
     return g.reshape(shape)
 
 
@@ -181,23 +190,25 @@ def clip(a, lo, hi):
     return _node(np.minimum(np.maximum(a.data, lo), hi), (a,), vjp)
 
 
+def _spread(g, shape, axis, keepdims):
+    """A new array of `shape` holding g broadcast back over the reduced axes."""
+    out = np.empty(shape)
+    out[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
+    return out
+
+
 def tsum(a, axis=None, keepdims=False):
-    def vjp(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return _node(np.add.reduce(a.data, axis, keepdims=keepdims), (a,),
+                 lambda g: (_spread(g, a.data.shape, axis, keepdims),))
 
 
 def tmean(a, axis=None, keepdims=False):
     if axis is None:
         n = a.data.size
     else:
-        n = a.data.shape[axis]
-
-    def vjp(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, a.data.shape).copy(),)
-    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
+        n = math.prod(a.data.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,)))
+    return _node(np.add.reduce(a.data, axis, keepdims=keepdims) / n, (a,),
+                 lambda g: (_spread(g / n, a.data.shape, axis, keepdims),))
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +220,37 @@ def reshape(a, shape):
 
 
 def transpose(a, axes):
-    inv = np.argsort(axes)
+    inv = sorted(range(len(axes)), key=axes.__getitem__)  # the inverse permutation
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(tensors, axis):
     tensors = list(tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    out = np.concatenate([t.data for t in tensors], axis=axis)
 
     def vjp(g):
-        return tuple(pg if t.requires_grad else None
-                     for t, pg in zip(tensors, np.split(g, splits, axis=axis)))
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
+        # each member's gradient is the view of g at its running offset
+        lead = (slice(None),) * (axis % g.ndim)
+        grads, lo = [], 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
+            grads.append(g[lead + (slice(lo, hi),)] if t.requires_grad else None)
+            lo = hi
+        return grads
+    return _node(out, tensors, vjp)
 
 
 def stack(tensors):
     """Equal-shape tensors stacked along a new leading axis."""
     tensors = list(tensors)
-    return _node(np.stack([t.data for t in tensors]), tensors,
+    return _node(np.concatenate([t.data[None] for t in tensors]), tensors,
                  lambda g: tuple(gi if t.requires_grad else None for t, gi in zip(tensors, g)))
 
 
 def slice_tensor(a, idx):
     """Basic slicing only (no fancy indexing), so the VJP is a plain scatter."""
     def vjp(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(a.data.shape)
         buf[idx] = g
         return (buf,)
     return _node(a.data[idx], (a,), vjp)
@@ -248,9 +264,9 @@ def matmul(a, b):
     def vjp(g):
         da = db = None
         if a.requires_grad:
-            da = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            da = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
         if b.requires_grad:
-            db = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            db = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
         return (da, db)
     return _node(np.matmul(a.data, b.data), (a, b), vjp)
 
@@ -265,27 +281,29 @@ def matmul(a, b):
 
 def softmax_fwd(x, axis=-1):
     """Numerically stable softmax (max-subtraction) along `axis`."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis, keepdims=True))
+    return e / np.add.reduce(e, axis, keepdims=True)
 
 
 def softmax_bwd(g, out, axis=-1):
     """Input gradient of softmax from its output `out`."""
-    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+    return out * (g - np.add.reduce(g * out, axis, keepdims=True))
 
 
 def layer_norm_fwd(x, eps=1e-5):
     """LayerNorm over the last axis, no affine parameters: the output y and
     the reciprocal standard deviation r that the backward reads."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, -1, keepdims=True) / n
+    r = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / n + eps)
     return xc * r, r
 
 
 def layer_norm_bwd(g, y, r):
     """Input gradient of LayerNorm from its output y and r."""
-    gm = g.mean(axis=-1, keepdims=True)
-    gym = (g * y).mean(axis=-1, keepdims=True)
+    n = g.shape[-1]
+    gm = np.add.reduce(g, -1, keepdims=True) / n
+    gym = np.add.reduce(g * y, -1, keepdims=True) / n
     return r * (g - gm - y * gym)
 
 
@@ -358,7 +376,7 @@ def _columns(a, idx):
     b, l, c = a.shape
     padded = np.zeros((b, l + 1, c))
     padded[:, :l] = a
-    return np.take(padded, idx, axis=1).reshape(b * l, -1)
+    return padded.take(idx, axis=1).reshape(b * l, -1)
 
 
 def conv_rows(x, w, grid):
@@ -464,6 +482,7 @@ def grad(loss, params):
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ShapeError("grad() wants a scalar loss Tensor")
+    # a Tensor hashes and compares by identity, so it keys the sets and dicts
     order = []
     seen = set()
     stack = [(loss, False)]
@@ -472,29 +491,29 @@ def grad(loss, params):
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p.requires_grad and p not in seen:
                 stack.append((p, False))
     # every consumer of a node comes before it in the reverse walk and hands it
     # an array, so its gradient is complete when its turn comes; a leaf's stays
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {loss: np.ones_like(loss.data)}
     for node in reversed(order):
         if node._vjp is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(grads.pop(id(node)))):
+        for parent, pg in zip(node._parents, node._vjp(grads.pop(node))):
             if pg is None:
                 continue
             # out of place: a VJP may hand one array (or views of it)
             # to several parents, and a leaf may already hold it
-            prev = grads.get(id(parent))
-            grads[id(parent)] = pg if prev is None else prev + pg
+            prev = grads.get(parent)
+            grads[parent] = pg if prev is None else prev + pg
     out = {}
     for name, p in params.items():
         if p.requires_grad:
-            g = grads.get(id(p))
-            out[name] = g if g is not None else np.zeros_like(p.data)
+            g = grads.get(p)
+            out[name] = g if g is not None else np.zeros(p.data.shape)
     return out
