@@ -9,11 +9,11 @@ validated against central finite differences in the test suite.
 Layout convention: token sequences are (B, L, C) rows of a row-major
 (H, W) patch grid; convolutions run on those rows.
 
-Hot-path code calls numpy's C entry points, never its Python-level wrappers
-(`np.add.reduce(x, axis) / n` for `x.mean(axis)`, `np.maximum.reduce` for
-`x.max`, ndarray methods for `np.swapaxes` and `np.take`, slices for
-`np.split`): each gives the same bits, and at batch 1 the wrappers cost more
-than the arithmetic.
+Hot-path code calls numpy's C entry points in place of its Python-level
+wrappers (`np.add.reduce(x, axis) / n` for `x.mean(axis)`,
+`np.maximum.reduce` for `x.max`, ndarray methods for `np.swapaxes` and
+`np.take`, slices for `np.split`): each gives the same bits, and at batch 1
+the wrappers cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -226,7 +226,6 @@ def transpose(a, axes):
 
 def concat(tensors, axis):
     tensors = list(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
 
     def vjp(g):
         # each member's gradient is the view of g at its running offset
@@ -237,7 +236,7 @@ def concat(tensors, axis):
             grads.append(g[lead + (slice(lo, hi),)] if t.requires_grad else None)
             lo = hi
         return grads
-    return _node(out, tensors, vjp)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
 def stack(tensors):

@@ -9,9 +9,14 @@ The pins belong to the numpy/BLAS build they were generated with.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import anofuse
 from anofuse.cli import main
 from anofuse.config import RunConfig
 from anofuse.data import get_corpora
@@ -59,6 +64,17 @@ def test_tiny_run_outputs_are_pinned(tmp_path, capsys):
         maps.update(path.name.encode())
         maps.update(path.read_bytes())
     assert maps.hexdigest() == MAPS_SHA256
+
+
+def test_tiny_run_trace_is_pinned_on_one_blas_thread(tmp_path):
+    # the pins must not depend on how many threads BLAS splits a GEMM over;
+    # the thread count is read when numpy loads, hence the fresh process
+    src = str(Path(anofuse.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "anofuse.cli", "train", "--out", str(tmp_path / "run")]
+                   + TINY, env=env, check=True, capture_output=True, timeout=300)
+    assert _sha((tmp_path / "run" / "trace.csv").read_bytes()) == RUN_SHA256["run/trace.csv"]
 
 
 def _le_bytes(array):

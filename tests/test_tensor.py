@@ -478,3 +478,109 @@ def test_no_grad_blocks_graph():
     with T.no_grad():
         y = T.tsum(w * w)
     assert y._vjp is None and not y.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# numpy's C entry points: the same bits as the ndarray methods and numpy
+# functions they replace (the oracles below use those methods)
+
+REDUCE_AXES = [None, 0, -1, (0, 2)]
+
+
+def _wide_range(rng, shape):
+    # magnitudes over many decades, and a last axis longer than numpy's
+    # 8-way unrolled and 128-element pairwise blocks, so a different
+    # summation order would show in the last bits
+    return rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("keepdims", [False, True], ids=["drop", "keep"])
+@pytest.mark.parametrize("axis", REDUCE_AXES, ids=["all", "0", "-1", "0-2"])
+def test_tsum_and_tmean_equal_the_ndarray_methods_bitwise(axis, keepdims):
+    rng = np.random.default_rng(30)
+    x = _wide_range(rng, (3, 4, 300))
+    for op, method in ((T.tsum, x.sum), (T.tmean, x.mean)):
+        want = method(axis=axis, keepdims=keepdims)
+        scale = x.size // np.size(want) if op is T.tmean else 1
+        out = op(T.Tensor(x, trainable=True), axis=axis, keepdims=keepdims)
+        assert type(out.data) is type(want)
+        assert np.array_equal(out.data, want)
+        # the VJP broadcasts g (divided by the count, for the mean) back over x
+        g = rng.normal(size=np.shape(want))
+        (got,) = out._vjp(g)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        assert np.array_equal(got, np.broadcast_to(gg / scale, x.shape))
+        assert got.flags.writeable and got.flags.c_contiguous
+
+
+def softmax_methods(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def layer_norm_methods(x, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    r = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc * r, r
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_softmax_pair_equals_the_ndarray_method_oracle_bitwise(axis):
+    rng = np.random.default_rng(31)
+    x = _wide_range(rng, (5, 3, 200)) * 1e-2
+    g = _wide_range(rng, x.shape)
+    out = T.softmax_fwd(x, axis)
+    assert np.array_equal(out, softmax_methods(x, axis))
+    assert np.array_equal(T.softmax_bwd(g, out, axis),
+                          out * (g - (g * out).sum(axis=axis, keepdims=True)))
+
+
+def test_layer_norm_pair_equals_the_ndarray_method_oracle_bitwise():
+    rng = np.random.default_rng(32)
+    x = _wide_range(rng, (6, 300))
+    g = _wide_range(rng, x.shape)
+    y, r = T.layer_norm_fwd(x)
+    want_y, want_r = layer_norm_methods(x)
+    assert np.array_equal(y, want_y) and np.array_equal(r, want_r)
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * y).mean(axis=-1, keepdims=True)
+    assert np.array_equal(T.layer_norm_bwd(g, y, r), r * (g - gm - y * gym))
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_concat_vjp_is_the_split_gradient_and_none_for_a_frozen_member(axis):
+    rng = np.random.default_rng(33)
+    sizes = (2, 1, 3)
+    shapes = []
+    for s in sizes:
+        shape = [4, 5, 6]
+        shape[axis] = s
+        shapes.append(tuple(shape))
+    members = [T.Tensor(rng.normal(size=s), trainable=i != 1) for i, s in enumerate(shapes)]
+    out = T.concat(members, axis)
+    g = rng.normal(size=out.data.shape)
+    got = out._vjp(g)
+    want = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
+    assert got[1] is None
+    for i in (0, 2):
+        assert got[i].shape == shapes[i]
+        assert np.array_equal(got[i], want[i])
+
+
+@pytest.mark.parametrize("axes", [(1, 2, 0), (2, 0, 1), (0, 2, 1)])
+def test_transpose_vjp_applies_the_argsort_inverse(axes):
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=(2, 3, 4))
+    out = T.transpose(T.Tensor(x, trainable=True), axes)
+    g = rng.normal(size=out.data.shape)
+    (got,) = out._vjp(g)
+    assert got.shape == x.shape
+    assert np.array_equal(got, g.transpose(np.argsort(axes)))
+
+
+def test_fd_transpose_under_a_cyclic_permutation():
+    w = np.arange(24.0).reshape(3, 4, 2) / 24.0  # tells the axes apart
+
+    def build(p):
+        return T.tsum(T.tanh(T.transpose(p["p0"], (1, 2, 0))) * w)
+    _fd_case(build, [(2, 3, 4)], 35)
