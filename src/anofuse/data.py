@@ -6,6 +6,10 @@ write/read roundtrip through PGM files is lossless. Anomalous samples get
 one rectangular or elliptical defect whose intensity shift is drawn
 relative to the measured texture standard deviation, with the sign chosen
 toward the side with more headroom so clipping cannot wash the defect out.
+
+The per-image sequence of RNG draws is the corpus contract: the arithmetic
+around the draws may move (it calls numpy's C entry points, as the hot
+path does), the draws may not. `tests/test_corpus_pin.py` pins the bytes.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ NOISE_FIELDS = (4, 8)
 
 def _texture(rng, size, family):
     """Zero-mean background pattern, later scaled to a target std."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     if family == "sinusoid":
         fy = rng.uniform(1.5, 4.0)
         fx = rng.uniform(1.5, 4.0)
         phy = rng.uniform(0, 2 * np.pi)
         phx = rng.uniform(0, 2 * np.pi)
-        pat = np.sin(2 * np.pi * fy * yy / size + phy) * np.sin(2 * np.pi * fx * xx / size + phx)
+        yy = np.arange(size, dtype=np.float64).reshape(size, 1)  # broadcast against its row
+        pat = np.sin(2 * np.pi * fy * yy / size + phy) * np.sin(2 * np.pi * fx * yy.T / size + phx)
         pat += 0.35 * rng.normal(size=(size, size))
         return pat
     # band-limited noise: coarse fields upsampled plus a fine component
@@ -62,13 +66,20 @@ def _defect_mask(rng, size, lo, hi):
         mask[top:top + dh, left:left + dw] = 1
     else:
         cy, cx = top + (dh - 1) / 2.0, left + (dw - 1) / 2.0
-        yy, xx = np.mgrid[0:size, 0:size]
-        ell = ((yy - cy) / (dh / 2.0)) ** 2 + ((xx - cx) / (dw / 2.0)) ** 2 <= 1.0
+        xx = np.arange(size)
+        ell = ((xx.reshape(size, 1) - cy) / (dh / 2.0)) ** 2 + ((xx - cx) / (dw / 2.0)) ** 2 <= 1.0
         mask[ell] = 1
     return mask
 
 
 TEXTURE_STD = 0.07
+
+
+def _mean_std(x):
+    """(x.mean(), x.std()) with the bits numpy gives them, without its wrappers."""
+    mean = np.add.reduce(x, None) / x.size
+    dev = x - mean
+    return mean, np.sqrt(np.add.reduce(np.square(dev, out=dev), None) / x.size)
 
 
 def gen_synthetic(config, seed, n, prefix="s"):
@@ -82,24 +93,24 @@ def gen_synthetic(config, seed, n, prefix="s"):
         else:
             family = config.texture
         pat = _texture(rng, size, family)
-        pat = (pat - pat.mean()) / max(pat.std(), 1e-9) * TEXTURE_STD
-        pat = np.clip(pat, -3.5 * TEXTURE_STD, 3.5 * TEXTURE_STD)
+        mean, std = _mean_std(pat)
+        pat = (pat - mean) / max(std, 1e-9) * TEXTURE_STD
+        pat = np.minimum(np.maximum(pat, -3.5 * TEXTURE_STD), 3.5 * TEXTURE_STD)
         img = 0.5 + pat
-        sigma = img.std()
+        base_mean, sigma = _mean_std(img)
         anomalous = rng.uniform() < config.anomaly_rate
         mask = np.zeros((size, size), dtype=np.uint8)
         if anomalous:
             mask = _defect_mask(rng, size, config.defect_min, config.defect_max)
             delta = rng.uniform(config.delta_min, config.delta_max) * sigma
-            region = mask.astype(bool)
-            base_mean = img.mean()
+            region = img[mask.astype(bool)]
             sign = 1.0 if base_mean <= 0.5 else -1.0
             # land the region mean `delta` away from the background mean, so
             # local texture deviations cannot eat into the separability margin
-            shift = base_mean + sign * delta - img[region].mean()
+            shift = base_mean + sign * delta - np.add.reduce(region) / region.size
             img = img + shift * mask
-        img = np.clip(img, 0.0, 1.0)
-        img = np.round(img * 255.0) / 255.0
+        img = np.minimum(np.maximum(img, 0.0), 1.0)
+        img = np.rint(img * 255.0) / 255.0
         samples.append(Sample(image=img, mask=mask, label=int(anomalous),
                               id=f"{prefix}_{i:04d}"))
     return samples
@@ -241,7 +252,7 @@ def load_dataset(root, split="test"):
 
 def batch_arrays(samples):
     """Stack samples into (B,H,W) images, (B,H,W) masks, (B,) labels."""
-    images = np.stack([s.image for s in samples])
-    masks = np.stack([s.mask for s in samples]).astype(np.float64)
+    images = np.concatenate([s.image[None] for s in samples])
+    masks = np.concatenate([s.mask[None] for s in samples]).astype(np.float64)
     labels = np.array([s.label for s in samples], dtype=np.int64)
     return images, masks, labels

@@ -89,10 +89,12 @@ class FusionGateway:
         if self.dynamic:
             w = [self.fusion_weights(v_glob, state) for state in STATES]
         else:
-            w = [Tensor(np.broadcast_to(np.eye(n)[:, None, :], (n, b, n)).copy())] * len(STATES)
+            one_hot = np.zeros((n, b, n))
+            one_hot[np.arange(n), :, np.arange(n)] = 1.0
+            w = [Tensor(one_hot)] * len(STATES)
         t = concat([reshape(matmul(w[s], t_feats[:, s, :]), (n, b, 1, c))
                     for s in range(len(STATES))], axis=2)  # (N, B, S, C)
         maps = self.level_map(v, t, grid)  # (N, B, H, W)
         agg = tsum(maps, axis=0) * (1.0 / n)
         upsampled = bilinear_upsample(agg, pixel_hw)
-        return AnomalyMap(maps, agg, upsampled, np.stack([ws.data for ws in w]))
+        return AnomalyMap(maps, agg, upsampled, np.concatenate([ws.data[None] for ws in w]))

@@ -193,7 +193,10 @@ def clip(a, lo, hi):
 def _spread(g, shape, axis, keepdims):
     """A new array of `shape` holding g broadcast back over the reduced axes."""
     out = np.empty(shape)
-    out[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
+    if not (axis is None or keepdims):
+        axes = {i % len(shape) for i in (axis if isinstance(axis, tuple) else (axis,))}
+        g = g.reshape([1 if i in axes else d for i, d in enumerate(shape)])
+    out[...] = g
     return out
 
 

@@ -87,14 +87,14 @@ def train(config: RunConfig, corpora) -> TrainResult:
     opt = Adam(model.trainable_params(), config.lr)
     batches = _batch_indices(len(train_samples), config.batch_size,
                              np.random.default_rng(config.data_seed + 10_000))
-    # one copy per row, so each chunk is freed after its turn
+    # one (1, 1 + P, C) copy per row, so each chunk is freed after its turn
     vision_rows = [row.copy() for prefix in vision_prefixes(model, train_samples, config.batch_size)
-                   for row in prefix.data]
+                   for row in prefix.data[:, None]]
     trace = []
     for step in range(config.steps):
         idx = next(batches)
         _, masks, labels = batch_arrays([train_samples[i] for i in idx])
-        prefix = Tensor(np.stack([vision_rows[i] for i in idx]))
+        prefix = Tensor(np.concatenate([vision_rows[i] for i in idx]))
         try:
             # numpy overflow, invalid or divide ends the run; Adam runs outside
             try:

@@ -271,3 +271,6 @@ def test_batch_arrays_shapes():
     assert masks.shape == (3, 32, 32)
     assert labels.shape == (3,)
     assert images.dtype == np.float64 and masks.dtype == np.float64
+    assert np.array_equal(images, np.stack([s.image for s in samples]))
+    assert np.array_equal(masks, np.stack([s.mask for s in samples]).astype(np.float64))
+    assert np.array_equal(labels, [s.label for s in samples])

@@ -170,6 +170,9 @@ def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
     np.testing.assert_array_equal(forced.per_level.data, static.per_level.data)
     np.testing.assert_array_equal(forced.aggregated.data, static.aggregated.data)
     np.testing.assert_array_equal(forced.upsampled.data, static.upsampled.data)
+    one_hots = np.stack([np.broadcast_to(np.eye(3)[:, None, :], (3, 2, 3))] * len(STATES))
+    assert np.array_equal(static.fusion_weights, one_hots)
+    assert np.array_equal(forced.fusion_weights, one_hots)
     assert calls == list(STATES)
 
 

@@ -484,7 +484,7 @@ def test_no_grad_blocks_graph():
 # numpy's C entry points: the same bits as the ndarray methods and numpy
 # functions they replace (the oracles below use those methods)
 
-REDUCE_AXES = [None, 0, -1, (0, 2)]
+REDUCE_AXES = [None, 0, -1, (0, 2), (0, -1)]
 
 
 def _wide_range(rng, shape):
@@ -495,7 +495,7 @@ def _wide_range(rng, shape):
 
 
 @pytest.mark.parametrize("keepdims", [False, True], ids=["drop", "keep"])
-@pytest.mark.parametrize("axis", REDUCE_AXES, ids=["all", "0", "-1", "0-2"])
+@pytest.mark.parametrize("axis", REDUCE_AXES, ids=["all", "0", "-1", "0-2", "0-m1"])
 def test_tsum_and_tmean_equal_the_ndarray_methods_bitwise(axis, keepdims):
     rng = np.random.default_rng(30)
     x = _wide_range(rng, (3, 4, 300))
