@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from anofuse.config import RunConfig
-from anofuse.data import (Sample, _defect_mask, batch_arrays, export_dataset, gen_synthetic,
-                          get_corpora, load_dataset, read_pgm, write_pgm)
+from anofuse.data import (Sample, _defect_mask, _mean_std, batch_arrays, export_dataset,
+                          gen_synthetic, get_corpora, load_dataset, read_pgm, write_pgm)
 from anofuse.errors import DatasetError
 
 
@@ -24,6 +24,16 @@ def test_gen_is_deterministic():
         np.testing.assert_array_equal(s.mask, t.mask)
     c = gen_synthetic(cfg, seed=6, n=20)
     assert any((s.image != t.image).any() for s, t in zip(a, c))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (32, 32), (64, 64), (7, 300)])
+def test_mean_std_equals_the_ndarray_methods_bitwise(shape):
+    rng = np.random.default_rng(40)
+    # magnitudes over many decades, so another summation order would show
+    x = 0.5 + rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
+    mean, std = _mean_std(x)
+    assert type(mean) is type(x.mean()) and type(std) is type(x.std())
+    assert (mean, std) == (x.mean(), x.std())
 
 
 def test_anomaly_rate_zero_gives_clean_corpus():
