@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .ablation import ablate
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, parse_config_text
-from .data import export_dataset, get_corpora, synthetic_corpora, write_pgm
+from .data import export_dataset, get_corpora, get_split, write_pgm
 from .errors import AnofuseError, ConfigurationError
 from .metrics import MetricsReport
 from .model import MODEL_KEYS
@@ -64,7 +65,7 @@ def _write_report(out_dir, report: MetricsReport, cfg: RunConfig):
 
 def cmd_gen(args, extra):
     cfg = _resolve_config(args, extra)
-    train_s, test_s = synthetic_corpora(cfg)
+    train_s, test_s = get_corpora(replace(cfg, data_dir=""))
     export_dataset(args.out, {"train": train_s, "test": test_s})
     n_def = sum(s.label for s in train_s) + sum(s.label for s in test_s)
     print(f"wrote {len(train_s)} train / {len(test_s)} test samples "
@@ -92,15 +93,16 @@ def cmd_train(args, extra):
 
 def _load_for_inference(args, extra):
     """The --checkpoint model, its config with any command-line overrides
-    applied, and that config's test split. The checkpoint fixes the fields
-    its model was built from, so overriding one of them fails."""
+    applied, and that config's test split, the only split read. The
+    checkpoint fixes the fields its model was built from, so overriding one
+    of them fails."""
     model, _ = load_checkpoint(args.checkpoint)
     cfg = apply_overrides(model.config, _collect_overrides(extra)).validate()
     changed = [k for k in MODEL_KEYS if getattr(cfg, k) != getattr(model.config, k)]
     if changed:
         raise ConfigurationError("cannot override the checkpoint's model: " + ", ".join(
             f"{k} is {getattr(model.config, k)}" for k in changed))
-    return model, cfg, get_corpora(cfg)[1]
+    return model, cfg, get_split(cfg, "test")
 
 
 def cmd_eval(args, extra):

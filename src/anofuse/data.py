@@ -116,33 +116,20 @@ def gen_synthetic(config, seed, n, prefix="s"):
     return samples
 
 
-def get_corpora(config):
-    """(train, test) sample lists, from disk when data_dir is set.
-
-    A split on disk without images, or an image that is not image_size
-    pixels square, raises DatasetError naming the directory or the file.
-    """
+def get_split(config, split):
+    """One split's samples: <data_dir>/<split> when data_dir is set, else
+    generated, the training split from data_seed and the test split from
+    data_seed + 1."""
     if config.data_dir:
-        corpora = (load_dataset(config.data_dir, "train"),
-                   load_dataset(config.data_dir, "test"))
-        size = config.image_size
-        for split, samples in zip(("train", "test"), corpora):
-            if not samples:
-                raise DatasetError(f"{Path(config.data_dir) / split} holds no images")
-            for s in samples:
-                if s.image.shape != (size, size):
-                    path = (Path(config.data_dir) / split / ("defect" if s.label else "good")
-                            / f"{s.id}.pgm")
-                    raise DatasetError(f"{path} is {s.image.shape[1]}x{s.image.shape[0]} "
-                                       f"pixels, config image_size is {size}")
-        return corpora
-    return synthetic_corpora(config)
+        return load_dataset(config.data_dir, split, config.image_size)
+    if split == "train":
+        return gen_synthetic(config, config.data_seed, config.n_train, prefix="train")
+    return gen_synthetic(config, config.data_seed + 1, config.n_test, prefix="test")
 
 
-def synthetic_corpora(config):
-    """The synthetic (train, test) split: seeds data_seed and data_seed + 1."""
-    return (gen_synthetic(config, config.data_seed, config.n_train, prefix="train"),
-            gen_synthetic(config, config.data_seed + 1, config.n_test, prefix="test"))
+def get_corpora(config):
+    """The (train, test) pair of `get_split`."""
+    return get_split(config, "train"), get_split(config, "test")
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +200,11 @@ def export_dataset(root, split_samples):
                           s.mask * 255)
 
 
-def load_dataset(root, split="test"):
-    """Load one split; good images get zero masks, and each defect needs a mask
-    that marks some pixel above half the mask's maxval."""
+def load_dataset(root, split, size):
+    """Load one split of size x size images; good images get zero masks, and
+    each defect needs a mask that marks some pixel above half the mask's
+    maxval. A split without images, or an image of another size, raises
+    DatasetError naming the directory or the file."""
     root = Path(root)
     split_dir = root / split
     if not split_dir.is_dir():
@@ -230,6 +219,9 @@ def load_dataset(root, split="test"):
             if label and (split_dir / "good" / path.name).exists():
                 raise DatasetError(f"{split_dir}: {path.name} is in both good/ and defect/")
             arr, maxval = read_pgm(path)
+            if arr.shape != (size, size):
+                raise DatasetError(f"{path} is {arr.shape[1]}x{arr.shape[0]} pixels, "
+                                   f"config image_size is {size}")
             image = arr.astype(np.float64) / maxval
             if label:
                 mask_path = root / "ground_truth" / "defect" / f"{sample_id}_mask.pgm"
@@ -246,6 +238,8 @@ def load_dataset(root, split="test"):
             else:
                 mask = np.zeros_like(arr, dtype=np.uint8)
             samples.append(Sample(image=image, mask=mask, label=label, id=sample_id))
+    if not samples:
+        raise DatasetError(f"{split_dir} holds no images")
     samples.sort(key=lambda s: s.id)
     return samples
 

@@ -68,10 +68,8 @@ class FusionGateway:
     def level_map(self, v, t, grid):
         """The abnormal column of `state_probs` for (..., L, C) tokens against
         (..., S, C) descriptors, as (..., H, W) maps."""
-        lead, l = v.data.shape[:-2], v.data.shape[-2]
-        if grid[0] * grid[1] != l:
-            raise ShapeError(f"grid {grid} does not match {l} patches")
-        return reshape(state_probs(v, t, self.temperature)[..., 1], lead + tuple(grid))
+        return reshape(state_probs(v, t, self.temperature)[..., 1],
+                       v.data.shape[:-2] + tuple(grid))
 
     def forward(self, v_list, t_feats, grid, pixel_hw):
         """Per-level maps, their mean, and the upsampled mean from the N

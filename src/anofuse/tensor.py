@@ -391,11 +391,7 @@ def conv_rows(x, w, grid):
     'same' padding is the transposed convolution.
     """
     xd, wd = x.data, w.data
-    if xd.ndim != 3 or wd.ndim != 4:
-        raise ShapeError("conv_rows expects (B,L,Cin) input and (Cout,Cin,k,k) kernel")
-    cout, cin, k, k2 = wd.shape
-    if k != k2:
-        raise ShapeError(f"kernel must be square, got {k}x{k2}")
+    cout, cin, k, _ = wd.shape
     if k % 2 == 0:
         raise ConfigurationError(f"kernel size must be odd, got {k}")
     b, l, c = xd.shape

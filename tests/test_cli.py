@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import re
+import shutil
 import warnings
 
 import pytest
@@ -90,8 +91,28 @@ def test_eval_on_images_of_another_size_is_one_error_line(run_dir, tmp_path, cap
     assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
                  "--data_dir", str(tmp_path / "data")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'data' / 'test'}")
     assert ".pgm is 32x32 pixels, config image_size is 16" in err[0]
+
+
+def test_eval_and_export_maps_read_only_the_test_split(run_dir, tmp_path):
+    # a zero-shot test set has no training split of its own
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data)] + TINY) == 0
+    args = ["--checkpoint", str(run_dir / "checkpoint.bin"), "--data_dir", str(data)]
+    outputs = {}
+    for case in ("full", "test_only"):
+        if case == "test_only":
+            shutil.rmtree(data / "train")
+        out = tmp_path / case
+        assert main(["eval", "--out", str(out / "eval")] + args) == 0
+        assert main(["export-maps", "--out", str(out / "maps")] + args) == 0
+        outputs[case] = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*")
+                         if p.is_file()}
+    assert outputs["test_only"] == outputs["full"]
+    # metrics.csv and config.txt; index.txt, config.txt and the 12 maps
+    assert {"eval/metrics.csv", "maps/index.txt"} <= set(outputs["full"])
+    assert len(outputs["full"]) == 16
 
 
 @pytest.mark.parametrize("split", ["train", "test"])

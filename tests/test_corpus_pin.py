@@ -1,11 +1,11 @@
 """Byte pins of the synthetic corpora.
 
-`get_corpora` regenerates the corpora for every command, so any change to
-`data._texture`, `data._defect_mask` or `data.gen_synthetic` must keep them
-byte-identical: the per-image RNG draws are the contract, and the
-arithmetic around them may only move if it gives the same bits. Each pin
-hashes both splits, sample by sample: the image as little-endian float64,
-the uint8 mask, the label and the id.
+Without a data_dir, `data.get_split` generates a split each time a command
+reads it, so any change to `data._texture`, `data._defect_mask` or
+`data.gen_synthetic` must keep the splits byte-identical: the per-image RNG
+draws are the contract, and the arithmetic around them may only move if it
+gives the same bits. Each pin hashes both splits, sample by sample: the
+image as little-endian float64, the uint8 mask, the label and the id.
 
 The pins belong to the numpy/BLAS build they were generated with: the
 noise texture upsamples its random fields through a matrix-vector product.

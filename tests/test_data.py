@@ -191,7 +191,7 @@ def test_mask_threshold_is_half_its_maxval(tmp_path, maxval):
     mask[20, :] = maxval // 2  # at or below half the maxval: not marked
     mask[21, :] = maxval // 2 + 1
     one_defect_with_mask(tmp_path, mask, maxval)
-    (loaded,) = load_dataset(tmp_path, "test")
+    (loaded,) = load_dataset(tmp_path, "test", 32)
     want = np.zeros((32, 32), dtype=np.uint8)
     want[4:8, 10:14] = want[21, :] = 1
     assert loaded.label == 1
@@ -202,7 +202,7 @@ def test_mask_threshold_is_half_its_maxval(tmp_path, maxval):
 def test_defect_mask_marking_no_pixel_names_the_file(tmp_path, maxval):
     path = one_defect_with_mask(tmp_path, np.full((32, 32), maxval // 2), maxval)
     with pytest.raises(DatasetError) as err:
-        load_dataset(tmp_path, "test")
+        load_dataset(tmp_path, "test", 32)
     assert str(err.value) == (f"mask {path} of a defect image marks no pixel above half its "
                               f"maxval {maxval}")
 
@@ -210,7 +210,7 @@ def test_defect_mask_marking_no_pixel_names_the_file(tmp_path, maxval):
 def test_mask_of_another_size_than_its_image_names_the_file(tmp_path):
     path = one_defect_with_mask(tmp_path, np.ones((16, 16), dtype=np.int64), 255)
     with pytest.raises(DatasetError) as err:
-        load_dataset(tmp_path, "test")
+        load_dataset(tmp_path, "test", 32)
     assert str(err.value) == f"mask {path} is 16x16 pixels, its image is 32x32"
 
 
@@ -220,7 +220,7 @@ def test_export_then_load_roundtrip(tmp_path):
     test = gen_synthetic(cfg, seed=11, n=8, prefix="test")
     export_dataset(tmp_path, {"train": train, "test": test})
     for split, originals in (("train", train), ("test", test)):
-        loaded = load_dataset(tmp_path, split)
+        loaded = load_dataset(tmp_path, split, 32)
         assert [s.id for s in loaded] == sorted(s.id for s in originals)
         by_id = {s.id: s for s in originals}
         for s in loaded:
@@ -234,7 +234,7 @@ def test_load_empty_defect_folder_is_all_normal(tmp_path):
     cfg = data_config(anomaly_rate=0.0)
     clean = gen_synthetic(cfg, seed=12, n=5, prefix="test")
     export_dataset(tmp_path, {"test": clean})
-    loaded = load_dataset(tmp_path, "test")
+    loaded = load_dataset(tmp_path, "test", 32)
     assert len(loaded) == 5 and all(s.label == 0 for s in loaded)
 
 
@@ -245,7 +245,7 @@ def test_load_missing_mask_names_id(tmp_path):
     victim = bad[0].id
     (tmp_path / "ground_truth" / "defect" / f"{victim}_mask.pgm").unlink()
     with pytest.raises(DatasetError) as err:
-        load_dataset(tmp_path, "test")
+        load_dataset(tmp_path, "test", 32)
     assert victim in str(err.value)
 
 
@@ -256,13 +256,33 @@ def test_load_sample_id_in_good_and_defect_names_the_file(tmp_path):
     bad = gen_synthetic(data_config(anomaly_rate=1.0), seed=15, n=2, prefix="x")
     export_dataset(tmp_path, {"test": good + bad})
     with pytest.raises(DatasetError) as err:
-        load_dataset(tmp_path, "test")
+        load_dataset(tmp_path, "test", 32)
     assert str(err.value) == f"{tmp_path / 'test'}: x_0000.pgm is in both good/ and defect/"
 
 
 def test_load_missing_split_dir(tmp_path):
     with pytest.raises(DatasetError):
-        load_dataset(tmp_path, "test")
+        load_dataset(tmp_path, "test", 32)
+
+
+def test_load_image_of_another_size_names_the_file(tmp_path):
+    clean = gen_synthetic(data_config(anomaly_rate=0.0), seed=17, n=3, prefix="test")
+    export_dataset(tmp_path, {"test": clean})
+    path = tmp_path / "test" / "good" / f"{clean[1].id}.pgm"
+    write_pgm(path, np.zeros((16, 24), dtype=np.uint8))
+    with pytest.raises(DatasetError) as err:
+        load_dataset(tmp_path, "test", 32)
+    assert str(err.value) == f"{path} is 24x16 pixels, config image_size is 32"
+
+
+def test_load_split_without_images_names_the_directory(tmp_path):
+    export_dataset(tmp_path, {"test": gen_synthetic(data_config(), seed=18, n=4, prefix="test")})
+    for path in (tmp_path / "test").rglob("*.pgm"):
+        path.rename(path.with_suffix(".png"))
+    assert (tmp_path / "test" / "good").is_dir() and (tmp_path / "test" / "defect").is_dir()
+    with pytest.raises(DatasetError) as err:
+        load_dataset(tmp_path, "test", 32)
+    assert str(err.value) == f"{tmp_path / 'test'} holds no images"
 
 
 def test_get_corpora_disjoint_seeds():
