@@ -4,20 +4,41 @@ The ConvLoraAdapter compresses tokens through a shared low-rank bottleneck
 and runs parallel k x k convolution pairs (one pair per kernel size, each
 conv scaled by 1/k) on the token rows of the patch grid. The paper then
 projects each branch back up and fuses the branches with a 1x1 conv. Those
-stages are linear, so `forward` folds the up-projection, the scales and the
+stages are linear, so a call folds the up-projection, the scales and the
 fuse into one (n*r, C) weight matrix that acts on the concatenated rank-r
 branches. The update is exactly zero while the up-projection is at its zero
 init, so a freshly built adapter leaves the network function untouched.
 
 LowRankAdapter is the plain variant (down/up projection only) used for the
 text groups and for the ablation baseline on vision groups.
+
+Each adapter call returns the updated tokens as one graph node with a
+hand-written VJP, as a frozen TransformerBlock does. The update applies to
+the last H*W rows when a grid is given, so a class row in front of the patch
+rows passes through, and to every row without one. The node runs the numpy
+operations of the graph that the Tensor primitives would record, in the same
+order, so its values and gradients carry the same bits. Its weights always
+train; it skips the input gradient when the input needs none (the group-0
+adapters read the model's constant prefixes).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat, conv_rows, matmul, reshape, transpose
+from .tensor import Tensor, _node, _unbroadcast, conv_rows_bwd, conv_rows_fwd
+
+
+def _start(x, grid):
+    """First row the update applies to: the rows before the last H*W."""
+    return 0 if grid is None else x.shape[1] - grid[0] * grid[1]
+
+
+def _updated(x, s, delta):
+    """A copy of tokens x with delta added to rows s onward."""
+    out = x.copy()
+    out[:, s:] += delta
+    return out
 
 
 class ConvLoraAdapter:
@@ -41,20 +62,45 @@ class ConvLoraAdapter:
         self.params = (self.w_down, self.w_up, *self.conv_down.values(), *self.conv_up.values(),
                        self.fuse_1x1)
 
-    def branch_forward(self, z, k, grid):
-        """One branch's two k x k convs on bottleneck rows z, unscaled and rank r."""
-        return conv_rows(conv_rows(z, self.conv_down[k], grid), self.conv_up[k], grid)
-
     def forward(self, x, grid):
-        """Residual update for (B, L, C) tokens; caller adds it to x. Row block i
-        of the fold u is w_up @ fuse_i.T / k_i**2, fuse_i the fuse's branch-i block."""
-        c = self.w_up.data.shape[1]
-        scale = np.array([[[1.0 / k ** 2]] for k in self.branch_kernels])
-        fuse = transpose(reshape(self.fuse_1x1, (c, len(scale), c)), (1, 2, 0))
-        u = reshape(matmul(self.w_up, fuse) * scale, (-1, c))
-        z = matmul(x, self.w_down)
-        return matmul(concat([self.branch_forward(z, k, grid) for k in self.branch_kernels],
-                             axis=-1), u)
+        """(B, L, C) tokens with the update added to their last H*W rows. Row
+        block i of the fold u is w_up @ fuse_i.T / k_i**2, fuse_i the fuse's
+        branch-i block; each branch's two convs stay rank r."""
+        kernels = self.branch_kernels
+        s = _start(x.data, grid)
+        w_down, w_up = self.w_down.data, self.w_up.data
+        r, c = w_up.shape
+        scale = np.array([[[1.0 / k ** 2]] for k in kernels])
+        fuse = self.fuse_1x1.data.reshape(c, len(kernels), c).transpose(1, 2, 0)
+        u = (np.matmul(w_up, fuse) * scale).reshape(-1, c)
+        z = np.matmul(x.data[:, s:], w_down)
+        cols, branches = [], []
+        for k in kernels:
+            a, cols_z = conv_rows_fwd(z, self.conv_down[k].data, grid)
+            y, cols_a = conv_rows_fwd(a, self.conv_up[k].data, grid)
+            cols.append((cols_z, cols_a))
+            branches.append(y)
+        cat = np.concatenate(branches, axis=-1)
+
+        def vjp(g):
+            rows, gp = x.data[:, s:], g[:, s:]
+            dcat = np.matmul(gp, u.T)
+            du = _unbroadcast(np.matmul(cat.swapaxes(-1, -2), gp), u.shape)
+            dm = du.reshape(len(kernels), r, c) * scale
+            dw_up = _unbroadcast(np.matmul(dm, fuse.swapaxes(-1, -2)), w_up.shape)
+            dfuse = np.matmul(w_up.T, dm).transpose(2, 0, 1).reshape(self.fuse_1x1.data.shape)
+            dz, dconv_down, dconv_up = None, [], []
+            for i, (k, (cols_z, cols_a)) in enumerate(zip(kernels, cols)):
+                da, dw = conv_rows_bwd(dcat[..., i * r:(i + 1) * r], cols_a,
+                                       self.conv_up[k].data, grid)
+                dconv_up.append(dw)
+                dzk, dw = conv_rows_bwd(da, cols_z, self.conv_down[k].data, grid)
+                dconv_down.append(dw)
+                dz = dzk if dz is None else dz + dzk
+            dw_down = _unbroadcast(np.matmul(rows.swapaxes(-1, -2), dz), w_down.shape)
+            dx = _updated(g, s, np.matmul(dz, w_down.T)) if x.requires_grad else None
+            return (dx, dw_down, dw_up, *dconv_down, *dconv_up, dfuse)
+        return _node(_updated(x.data, s, np.matmul(cat, u)), (x, *self.params), vjp)
 
     __call__ = forward
 
@@ -70,6 +116,19 @@ class LowRankAdapter:
         self.params = (self.w_down, self.w_up)
 
     def forward(self, x, grid=None):
-        return matmul(matmul(x, self.w_down), self.w_up)
+        """(B, L, C) tokens with the update added to their last H*W rows, or
+        to every row without a grid."""
+        s = _start(x.data, grid)
+        w_down, w_up = self.w_down.data, self.w_up.data
+        z = np.matmul(x.data[:, s:], w_down)
+
+        def vjp(g):
+            gp = g[:, s:]
+            dz = np.matmul(gp, w_up.T)
+            dw_up = _unbroadcast(np.matmul(z.swapaxes(-1, -2), gp), w_up.shape)
+            dw_down = _unbroadcast(np.matmul(x.data[:, s:].swapaxes(-1, -2), dz), w_down.shape)
+            dx = _updated(g, s, np.matmul(dz, w_down.T)) if x.requires_grad else None
+            return (dx, dw_down, dw_up)
+        return _node(_updated(x.data, s, np.matmul(z, w_up)), (x, self.w_down, self.w_up), vjp)
 
     __call__ = forward

@@ -7,7 +7,10 @@ baseline) and every text group ends with a plain low-rank residual. Only
 adapters, text residuals, and the fusion gateway train; backbone weights
 are drawn once from the model seed and never receive gradients. So a
 frozen transformer block is one graph node whose hand-written VJP
-computes the gradient of its input alone, never of its weights.
+computes the gradient of its input alone, never of its weights. Each
+adapter call is one graph node too: it takes a group's whole token tensor
+and returns the updated tokens, on the vision side with the class row
+passed through unchanged, so no slice, add or concat surrounds it.
 
 A subgraph with no trainable input is a constant. The text prefix, the
 group-0 text blocks on both fixed prompts at once, is a model constant:
@@ -178,8 +181,8 @@ class GroupedModel:
         return x
 
     def vision_forward(self, prefix):
-        """Run the vision groups from the prefix; adapters update patch tokens
-        after each group.
+        """Run the vision groups from the prefix; after each group its adapter
+        updates the patch tokens and passes the class token through.
 
         Returns (V_list, v_cls_final): V_list[i] is the post-adapter patch
         token tensor of group i, v_cls_final the final class token.
@@ -190,10 +193,8 @@ class GroupedModel:
             # group 0's blocks belong to the prefix
             for block in self.vision_groups[g] if g else ():
                 x = block(x)
-            patches = x[:, 1:, :]
-            patches = patches + self.vision_adapters[g](patches, self.grid)
-            x = tt.concat([x[:, :1, :], patches], axis=1)
-            v_list.append(patches)
+            x = self.vision_adapters[g](x, self.grid)
+            v_list.append(x[:, 1:, :])
         return v_list, x[:, 0, :]
 
     # ------------------------------------------------------------------
@@ -213,7 +214,7 @@ class GroupedModel:
             # group 0's blocks belong to the prefix
             for block in self.text_groups[g] if g else ():
                 x = block(x)
-            x = x + self.text_loras[g](x)
+            x = self.text_loras[g](x)
             feats.append(x[:, -1, :])
         return tt.stack(feats)
 

@@ -1,10 +1,12 @@
 """Dense float64 tensor kernels with reverse-mode automatic differentiation.
 
 Everything downstream (adapters, encoder blocks, fusion gateway, losses)
-is composed from the primitives here. All arrays are double precision and
-all kernels are pure functions of their inputs, so results are
-deterministic for a fixed seed. Gradients are produced by `grad()` and are
-validated against central finite differences in the test suite.
+is built from the primitives here: composed from the Tensor primitives, or,
+for encoder blocks and adapters, one graph node each over the array-level
+kernels. All arrays are double precision and all kernels are pure
+functions of their inputs, so results are deterministic for a fixed seed.
+Gradients are produced by `grad()` and are validated against central
+finite differences in the test suite.
 
 Layout convention: token sequences are (B, L, C) rows of a row-major
 (H, W) patch grid; convolutions run on those rows.
@@ -276,9 +278,11 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 # neural primitives
 #
-# Each formula is written once, as an array-level forward and backward pair;
-# the Tensor primitives below and the fused TransformerBlock node in model.py
-# both call these.
+# Each formula is written once, as an array-level forward and backward pair
+# (`conv_rows_fwd`/`conv_rows_bwd` below too). The Tensor primitives call
+# these, and so do the one-node layers: a frozen TransformerBlock
+# (model.py) and an adapter call (adapter.py), which returns the updated
+# tokens. Each of those is one graph node with a hand-written VJP.
 
 
 def softmax_fwd(x, axis=-1):
@@ -381,38 +385,45 @@ def _columns(a, idx):
     return padded.take(idx, axis=1).reshape(b * l, -1)
 
 
-def conv_rows(x, w, grid):
+def conv_rows_fwd(x, w, grid):
     """k x k convolution with zero 'same' padding, no bias, odd k only, on
     (B, L, Cin) token rows of a row-major (H, W) grid; w is (Cout, Cin, k, k).
-
-    The forward pass gathers each token's neighbourhood and runs one GEMM.
-    The input gradient is the same gather on the output gradient with w
-    flipped in space and its channel axes swapped, which for odd k and
-    'same' padding is the transposed convolution.
-    """
-    xd, wd = x.data, w.data
-    cout, cin, k, _ = wd.shape
+    Gathers each token's neighbourhood and runs one GEMM: the output and the
+    (B*L, k*k*Cin) columns that the backward reads."""
+    cout, cin, k, _ = w.shape
     if k % 2 == 0:
         raise ConfigurationError(f"kernel size must be odd, got {k}")
-    b, l, c = xd.shape
+    b, l, c = x.shape
     if cin != c:
         raise ShapeError(f"channel mismatch: input {c}, kernel {cin}")
     if l != grid[0] * grid[1]:
         raise ShapeError(f"sequence length {l} != grid {grid[0]}x{grid[1]}")
+    cols = _columns(x, _neighbours(grid, k))
+    return (cols @ w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)).reshape(b, l, cout), cols
 
-    idx = _neighbours(grid, k)
-    cols = _columns(xd, idx)
-    y = (cols @ wd.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)).reshape(b, l, cout)
 
-    def vjp(g):
-        dx = dw = None
-        if w.requires_grad:
-            dw = (cols.T @ g.reshape(b * l, cout)).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
-        if x.requires_grad:
-            wt = wd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-            dx = (_columns(g, idx) @ wt).reshape(xd.shape)
-        return (dx, dw)
-    return _node(y, (x, w), vjp)
+def conv_rows_bwd(g, cols, w, grid, need_dx=True, need_dw=True):
+    """Input and weight gradients of `conv_rows_fwd` from the output gradient
+    g and the forward's columns; one not asked for is None. The input
+    gradient is the same gather on g with w flipped in space and its channel
+    axes swapped, which for odd k and 'same' padding is the transposed
+    convolution."""
+    cout, cin, k, _ = w.shape
+    b, l, _ = g.shape
+    dx = dw = None
+    if need_dw:
+        dw = (cols.T @ g.reshape(b * l, cout)).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
+    if need_dx:
+        wt = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+        dx = (_columns(g, _neighbours(grid, k)) @ wt).reshape(b, l, cin)
+    return dx, dw
+
+
+def conv_rows(x, w, grid):
+    """`conv_rows_fwd` as a graph node."""
+    y, cols = conv_rows_fwd(x.data, w.data, grid)
+    return _node(y, (x, w), lambda g: conv_rows_bwd(g, cols, w.data, grid, x.requires_grad,
+                                                    w.requires_grad))
 
 
 # ---------------------------------------------------------------------------

@@ -188,11 +188,14 @@ def adapter_branch_composition(x, adapter, k, grid):
 
 
 def adapter_composition(x, adapter, grid):
-    """Conv-LoRA residual update: every branch, concatenated along channels,
-    fused by the 1x1 loop convolution."""
-    maps = [rows_to_maps(adapter_branch_composition(x, adapter, k, grid), grid)
+    """Conv-LoRA on (B, L, C) array tokens: the tokens with the residual
+    update added to their last H*W rows. The update is every branch,
+    concatenated along channels, fused by the 1x1 loop convolution."""
+    s = x.shape[1] - grid[0] * grid[1]
+    maps = [rows_to_maps(adapter_branch_composition(x[:, s:], adapter, k, grid), grid)
             for k in adapter.branch_kernels]
-    return maps_to_rows(conv2d_loops(np.concatenate(maps, axis=1), adapter.fuse_1x1.data))
+    update = maps_to_rows(conv2d_loops(np.concatenate(maps, axis=1), adapter.fuse_1x1.data))
+    return np.concatenate([x[:, :s], x[:, s:] + update], axis=1)
 
 
 def gateway_composition(gateway, v_list, t_feats, grid):
@@ -293,11 +296,11 @@ def run_selftest():
 
     ad = ConvLoraAdapter(4, 2, (3, 5), rng=np.random.default_rng(3))
     ad.w_up.data[:] = rng.normal(0, 0.3, ad.w_up.data.shape)
-    xa = rng.normal(size=(1, 9, 4))
+    xa = rng.normal(size=(1, 9, 4))  # a class row and a 2x4 grid
     with no_grad():
-        got = ad(Tensor(xa), (3, 3)).data
+        got = ad(Tensor(xa), (2, 4)).data
     report("adapter matches straight-line composition",
-           np.abs(got - adapter_composition(xa, ad, (3, 3))).max() < 1e-12)
+           np.abs(got - adapter_composition(xa, ad, (2, 4))).max() < 1e-12)
 
     gw = FusionGateway(5, 2, 3, 0.07, dynamic=True, rng=np.random.default_rng(4))
     for state in gw.w2:

@@ -106,14 +106,14 @@ def test_vision_forward_staged_oracle_with_live_adapters():
         ad.w_up.data[:] = rng.normal(0, 0.2, ad.w_up.data.shape)
     images = rand_images(cfg, 2, seed=7)
     v_list, v_cls = m.vision_forward(m.vision_prefix(images))
-    # staged manual run, group by group
+    # staged manual run, group by group, with each adapter on the patch
+    # rows alone and the class row put back in front
     x = m.patchify(images)
     for g in range(2):
         for blk in m.vision_groups[g]:
             x = blk(x)
-        patches = Tensor(x.data[:, 1:, :])
-        delta = m.vision_adapters[g](patches, m.grid)
-        merged = np.concatenate([x.data[:, :1, :], patches.data + delta.data], axis=1)
+        patches = m.vision_adapters[g](Tensor(x.data[:, 1:, :].copy()), m.grid)
+        merged = np.concatenate([x.data[:, :1, :], patches.data], axis=1)
         x = Tensor(merged)
         np.testing.assert_array_equal(v_list[g].data, merged[:, 1:, :])
     np.testing.assert_array_equal(v_cls.data, x.data[:, 0, :])
@@ -166,7 +166,7 @@ def test_stacked_text_forward_equals_each_prompt_alone_bitwise(cfg):
         for g in range(cfg.n_groups):
             for blk in m.text_groups[g]:
                 x = blk(x)
-            x = x + m.text_loras[g](x)
+            x = m.text_loras[g](x)
             np.testing.assert_array_equal(t_feats.data[g, s], x.data[0, -1, :])
     assert not np.array_equal(t_feats.data[-1, 0], t_feats.data[-1, 1])
 
@@ -386,15 +386,26 @@ def test_text_forward_records_one_stack_and_one_slice_per_group():
         assert kinds["stack"] == 1 and kinds["slice_tensor"] == n
 
 
-def _default_step_loss():
+def _default_step_loss(b=2):
     cfg = RunConfig()
     m = build_model(cfg)
-    out = m.forward(m.vision_prefix(rand_images(cfg, 2, seed=20)),
+    out = m.forward(m.vision_prefix(rand_images(cfg, b, seed=20)),
                     m.text_forward())
-    masks = np.zeros((2, cfg.image_size, cfg.image_size))
-    masks[1, 4:12, 8:16] = 1.0
-    total, _, _ = model_loss(out, masks, np.array([0, 1]), cfg)
+    masks = np.zeros((b, cfg.image_size, cfg.image_size))
+    masks[-1, 4:12, 8:16] = 1.0
+    total, _, _ = model_loss(out, masks, (np.arange(b) == b - 1).astype(int), cfg)
     return total
+
+
+def _graph_tensors(root):
+    """Every distinct tensor reachable from `root` through parent links."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
 
 
 def _default_step_kinds():
@@ -406,6 +417,30 @@ def test_default_step_records_four_block_nodes():
     assert _default_step_kinds()["TransformerBlock"] == 4
 
 
+def test_default_step_records_one_node_per_adapter_call():
+    # three vision and three text adapter calls, each one node over the
+    # full token tensor, with no slice, add or concat around it
+    loss = _default_step_loss(b=1)
+    kinds = _node_kinds(loss)
+    assert kinds["ConvLoraAdapter"] == 3 and kinds["LowRankAdapter"] == 3
+    assert len(_graph_tensors(loss)) <= 160  # 210 with each adapter composed of primitives
+    m = build_model(RunConfig())
+    v_list, v_cls = m.vision_forward(m.vision_prefix(rand_images(m.config, 1, seed=22)))
+    # the vision path slices only the class token and each level's patch rows
+    assert _node_kinds(v_cls) == {"ConvLoraAdapter": 3, "TransformerBlock": 2, "slice_tensor": 1}
+    assert [v._vjp.__qualname__.split(".")[0] for v in v_list] == ["slice_tensor"] * 3
+
+
+def test_group0_vision_adapter_skips_the_gradient_of_the_cached_prefix():
+    m = build_model(RunConfig())
+    prefix = m.vision_prefix(rand_images(m.config, 1, seed=23))
+    out = m.vision_adapters[0](prefix, m.grid)
+    assert out._parents[0] is prefix and not prefix.requires_grad
+    grads = out._vjp(np.ones(out.data.shape))
+    assert grads[0] is None
+    assert all(g is not None for g in grads[1:])
+
+
 def test_default_step_records_two_stack_nodes():
     # the vision levels in the gateway and the text features in text_forward
     assert _default_step_kinds()["stack"] == 2
@@ -414,10 +449,4 @@ def test_default_step_records_two_stack_nodes():
 def test_default_step_reaches_no_tensor_of_rank_five():
     # the cosine head is one matmul over C, so no (..., L, S, C) product of
     # tokens against descriptors is built
-    seen, stack = {}, [_default_step_loss()]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node.data.ndim
-            stack.extend(node._parents)
-    assert max(seen.values()) == 4
+    assert max(t.data.ndim for t in _graph_tensors(_default_step_loss())) == 4
