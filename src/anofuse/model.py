@@ -10,7 +10,10 @@ frozen transformer block is one graph node whose hand-written VJP
 computes the gradient of its input alone, never of its weights. Each
 adapter call is one graph node too: it takes a group's whole token tensor
 and returns the updated tokens, on the vision side with the class row
-passed through unchanged, so no slice, add or concat surrounds it.
+passed through unchanged, so no slice, add or concat surrounds it. The
+gateway and the image head are one node each as well (gateway.py), so a
+step's graph holds one node per layer call, plus the slices and the stack
+that pass the levels, the class token and the text features between them.
 
 A subgraph with no trainable input is a constant. The text prefix, the
 group-0 text blocks on both fixed prompts at once, is a model constant:

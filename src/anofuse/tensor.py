@@ -1,10 +1,13 @@
 """Dense float64 tensor kernels with reverse-mode automatic differentiation.
 
-Everything downstream (adapters, encoder blocks, fusion gateway, losses)
-is built from the primitives here: composed from the Tensor primitives, or,
-for encoder blocks and adapters, one graph node each over the array-level
-kernels. All arrays are double precision and all kernels are pure
-functions of their inputs, so results are deterministic for a fixed seed.
+Everything downstream is built from the kernels here. Each layer is one
+graph node over the array-level kernels: a frozen encoder block, an
+adapter call, the fusion gateway, the cosine-softmax image head, and each
+of the two losses. The Tensor primitives record the rest (the slices
+between layers, the text stack, the sum of the losses) and the reference
+graphs in `verify`. All arrays are double precision and all kernels are
+pure functions of their inputs, so results are deterministic for a fixed
+seed.
 Gradients are produced by `grad()` and are validated against central
 finite differences in the test suite.
 
@@ -279,10 +282,12 @@ def matmul(a, b):
 # neural primitives
 #
 # Each formula is written once, as an array-level forward and backward pair
-# (`conv_rows_fwd`/`conv_rows_bwd` below too). The Tensor primitives call
-# these, and so do the one-node layers: a frozen TransformerBlock
-# (model.py) and an adapter call (adapter.py), which returns the updated
-# tokens. Each of those is one graph node with a hand-written VJP.
+# (`conv_rows_fwd`/`conv_rows_bwd` and `cosine_softmax_fwd`/
+# `cosine_softmax_bwd` below too). The Tensor primitives call these, and so
+# do the one-node layers: a frozen TransformerBlock (model.py), an adapter
+# call (adapter.py), which returns the updated tokens, and the fusion
+# gateway and the image head (gateway.py). Each of those is one graph node
+# with a hand-written VJP.
 
 
 def softmax_fwd(x, axis=-1):
@@ -427,22 +432,53 @@ def conv_rows(x, w, grid):
 
 
 # ---------------------------------------------------------------------------
-# similarity, upsampling
+# cosine-softmax head, upsampling
 
 
-# floor applied to squared norms inside `cosine`; far below any realistic
-# feature norm, so it never perturbs gradients
+# floor applied to squared norms in `cosine_softmax_fwd`; far below any
+# realistic feature norm, so it never perturbs gradients
 NORM_FLOOR = 1e-30
 
 
-def cosine(u, v):
-    """Cosine similarity of every row of u (..., L, C) with every row of v
-    (..., S, C): one (..., L, S) matmul over C; leading axes broadcast."""
-    nd = v.data.ndim
-    vt = transpose(v, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    nu = sqrt(clip(tsum(u * u, axis=-1, keepdims=True), NORM_FLOOR, np.inf))
-    nv = sqrt(clip(tsum(vt * vt, axis=-2, keepdims=True), NORM_FLOOR, np.inf))
-    return matmul(u, vt) / (nu * nv)
+def cosine_softmax_fwd(x, t, temperature):
+    """Softmax over S, at `temperature`, of the cosine similarities of the
+    rows of x (..., L, C) to the rows of t (..., S, C): one (..., L, S)
+    matmul over C; leading axes broadcast. The (..., L, S) probabilities and
+    the arrays that `cosine_softmax_bwd` reads."""
+    tt = t.swapaxes(-1, -2)
+    sx = np.add.reduce(x * x, -1, keepdims=True)
+    st = np.add.reduce(tt * tt, -2, keepdims=True)
+    nx, nt = np.sqrt(np.maximum(sx, NORM_FLOOR)), np.sqrt(np.maximum(st, NORM_FLOOR))
+    m = np.matmul(x, tt)
+    d = nx * nt
+    probs = softmax_fwd(m / d * (1.0 / temperature))
+    return probs, (x, tt, sx, st, nx, nt, m, d, probs)
+
+
+def cosine_softmax_bwd(g, saved, temperature, need_x=True, need_t=True):
+    """Gradients of `cosine_softmax_fwd` for x and t from the gradient g of
+    its probabilities; one not asked for is None. A squared norm's gradient
+    passes its square root and its floor (zero where the floor binds) and
+    reaches the rows twice, as the two factors of x * x."""
+    x, tt, sx, st, nx, nt, m, d, probs = saved
+    gc = softmax_bwd(g, probs) * (1.0 / temperature)
+    dm = gc / d
+    dd = -gc * m / (d * d)
+    dx = dt = None
+    if need_x:
+        gx = (_unbroadcast(dd * nt, nx.shape) / (2.0 * nx)
+              * ((sx > NORM_FLOOR) & (sx < np.inf)) * x)
+        dx = _unbroadcast(np.matmul(dm, tt.swapaxes(-1, -2)), x.shape)
+        dx += gx
+        dx += gx
+    if need_t:
+        gt = (_unbroadcast(dd * nx, nt.shape) / (2.0 * nt)
+              * ((st > NORM_FLOOR) & (st < np.inf)) * tt)
+        dt = _unbroadcast(np.matmul(x.swapaxes(-1, -2), dm), tt.shape)
+        dt += gt
+        dt += gt
+        dt = dt.swapaxes(-1, -2)
+    return dx, dt
 
 
 @lru_cache(maxsize=None)
@@ -468,14 +504,6 @@ def bilinear_matrix(src_hw, dst_hw):
         return w
 
     return np.kron(axis_weights(sh, dh), axis_weights(sw, dw))
-
-
-def bilinear_upsample(m, target):
-    """Upsample a (B, H, W) batch of single-channel maps to `target`."""
-    b, sh, sw = m.data.shape
-    a = bilinear_matrix((sh, sw), target)
-    out = matmul(Tensor(a), reshape(m, (b, sh * sw, 1)))  # (b, dh*dw, 1) via broadcast
-    return reshape(out, (b, target[0], target[1]))
 
 
 # ---------------------------------------------------------------------------

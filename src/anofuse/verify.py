@@ -24,11 +24,12 @@ import numpy as np
 from .adapter import ConvLoraAdapter
 from .config import RunConfig
 from .data import batch_arrays, gen_synthetic
-from .gateway import STATES, FusionGateway
-from .losses import dice_loss, focal_loss, model_loss, seg_loss
+from .gateway import STATES, FusionGateway, aligned_weights, state_probs
+from .losses import CLAMP_EPS, cls_loss, dice_fwd, focal_fwd, model_loss, seg_loss
 from .metrics import auroc, average_precision
 from .model import TransformerBlock, build_model
-from .tensor import (Tensor, conv_rows, gelu, grad, layer_norm, matmul, no_grad, reshape, softmax,
+from .tensor import (NORM_FLOOR, Tensor, bilinear_matrix, clip, concat, conv_rows, gelu, grad,
+                     layer_norm, log, matmul, no_grad, reshape, softmax, sqrt, stack, tanh, tmean,
                      transpose, tsum)
 
 STEP = 1e-5  # central-difference step h
@@ -220,6 +221,107 @@ def gateway_composition(gateway, v_list, t_feats, grid):
     return maps
 
 
+# Tensor-primitive graphs of the one-node layers: the references for the
+# gateway, the cosine-softmax head and the two losses, whose nodes must
+# reproduce each graph's values and gradients bit for bit.
+
+
+def cosine(u, v):
+    """Cosine similarity of every row of u (..., L, C) with every row of v
+    (..., S, C): one (..., L, S) matmul over C; leading axes broadcast."""
+    nd = v.data.ndim
+    vt = transpose(v, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+    nu = sqrt(clip(tsum(u * u, axis=-1, keepdims=True), NORM_FLOOR, np.inf))
+    nv = sqrt(clip(tsum(vt * vt, axis=-2, keepdims=True), NORM_FLOOR, np.inf))
+    return matmul(u, vt) / (nu * nv)
+
+
+def bilinear_upsample(m, target):
+    """Upsample a (B, H, W) batch of single-channel maps to `target`."""
+    b, sh, sw = m.data.shape
+    a = bilinear_matrix((sh, sw), target)
+    out = matmul(Tensor(a), reshape(m, (b, sh * sw, 1)))  # (b, dh*dw, 1) via broadcast
+    return reshape(out, (b, target[0], target[1]))
+
+
+def state_probs_graph(x, t, temperature):
+    """`gateway.state_probs` as a graph of Tensor primitives."""
+    return softmax(cosine(x, t) * (1.0 / temperature), axis=-1)
+
+
+def gateway_graph(gateway, v_list, t_feats, grid, pixel_hw):
+    """`FusionGateway.forward` as a graph of Tensor primitives: the
+    (N, B, H, W) level maps, their mean and the upsampled mean."""
+    n = gateway.n_groups
+    v = stack(v_list)  # (N, B, L, C)
+    _, b, _, c = v.data.shape
+    if gateway.dynamic:
+        v_glob = tmean(v, axis=2)
+        w = [softmax(matmul(tanh(matmul(v_glob, gateway.w1[state])), gateway.w2[state]), axis=-1)
+             for state in STATES]
+    else:
+        w = [Tensor(aligned_weights(n, b))] * len(STATES)
+    t = concat([reshape(matmul(w[s], t_feats[:, s, :]), (n, b, 1, c))
+                for s in range(len(STATES))], axis=2)  # (N, B, S, C)
+    maps = reshape(state_probs_graph(v, t, gateway.temperature)[..., 1],
+                   (n, b) + tuple(grid))
+    agg = tsum(maps, axis=0) * (1.0 / n)
+    return maps, agg, bilinear_upsample(agg, pixel_hw)
+
+
+def focal_loss(pred, target, gamma, alpha):
+    """Mean focal term of a pred Tensor against a float64 target array of its
+    shape; predictions are clamped away from exact 0/1."""
+    p = clip(pred, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    pos = ((1.0 - p) ** gamma) * log(p) * (-alpha)
+    neg = (p ** gamma) * log(1.0 - p) * (alpha - 1.0)
+    return tmean(pos * target + neg * (1.0 - target))
+
+
+def dice_loss(pred, target, smooth):
+    """1 - (2*overlap + smooth) / (mass_pred + mass_target + smooth), for a
+    pred Tensor and a float64 target array of its shape."""
+    inter = tsum(pred * target)
+    denom = tsum(pred) + float(target.sum())
+    return 1.0 - (2.0 * inter + smooth) / (denom + smooth)
+
+
+def seg_loss_graph(pred, target, cfg):
+    """`losses.seg_loss` as a graph of Tensor primitives."""
+    target = np.asarray(target, dtype=np.float64)
+    return (focal_loss(pred, target, cfg.focal_gamma, cfg.focal_alpha) * cfg.lambda_focal
+            + dice_loss(pred, target, cfg.dice_smooth) * cfg.lambda_dice)
+
+
+def cls_loss_graph(probs, labels):
+    """`losses.cls_loss` as a graph of Tensor primitives."""
+    labels = np.asarray(labels)
+    onehot = np.zeros((labels.shape[0], 2))
+    onehot[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
+    picked = tsum(probs * onehot, axis=1)
+    return -tmean(log(clip(picked, CLAMP_EPS * CLAMP_EPS, 1.0)))
+
+
+def node_and_graph(node, graph, params, probe=None):
+    """The value and the gradients of a one-node layer, `node()`, and of its
+    Tensor-primitive graph, `graph()`, both functions of the tensors in
+    `params`: a (value, {name: gradient}) pair each. The objective is the
+    output itself when `probe` is None, else sum(probe * output)."""
+    pairs = []
+    for f in (node, graph):
+        y = f()
+        pairs.append((y.data, grad(y if probe is None else tsum(y * probe), params)))
+    return pairs
+
+
+def same_bits(pairs):
+    """Whether the two (value, gradients) pairs of `node_and_graph` are equal
+    element for element."""
+    (a, ga), (b, gb) = pairs
+    return (np.array_equal(a, b) and ga.keys() == gb.keys()
+            and all(np.array_equal(ga[k], gb[k]) for k in ga))
+
+
 def auroc_pairs(scores, labels):
     """All positive/negative pairs: wins count 1, ties count half."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -313,17 +415,44 @@ def run_selftest():
     report("gateway matches straight-line composition",
            np.abs(amap.aggregated.data - np.mean(maps, axis=0)).max() < 1e-12)
 
-    pred = Tensor(rng.uniform(0.02, 0.98, (6, 6)))
+    pred = Tensor(rng.uniform(0.02, 0.98, (6, 6)), trainable=True, name="pred")
     target = (rng.uniform(size=(6, 6)) > 0.5).astype(float)
-    f0 = float(focal_loss(pred, target, gamma=0.0, alpha=0.5).data)
+    f0 = float(focal_fwd(pred.data, target, gamma=0.0, alpha=0.5)[0])
     report("focal(gamma=0, alpha=1/2) reduces to BCE/2",
            abs(f0 - half_bce(pred.data, target)) < 1e-12)
 
     cfg = RunConfig()
     seg = float(seg_loss(pred, target, cfg).data)
-    want = (float(focal_loss(pred, target, cfg.focal_gamma, cfg.focal_alpha).data)
-            + float(dice_loss(pred, target, cfg.dice_smooth).data))
+    want = (float(focal_fwd(pred.data, target, cfg.focal_gamma, cfg.focal_alpha)[0])
+            + float(dice_fwd(pred.data, target, cfg.dice_smooth)[0]))
     report("segmentation loss additivity", abs(seg - want) < 1e-12)
+
+    # the one-node layers against their Tensor-primitive graphs, bit for bit:
+    # the value and the gradient of every parent
+    v_list = [Tensor(rng.normal(size=(2, 9, 5)), trainable=True, name=f"v{i}") for i in range(2)]
+    t_feats = Tensor(rng.normal(size=(2, 2, 5)), trainable=True, name="t_feats")
+    params = {t.name: t for t in (*v_list, t_feats, *gw.params)}
+    pairs = node_and_graph(lambda: gw.forward(v_list, t_feats, (3, 3), (9, 9)).upsampled,
+                           lambda: gateway_graph(gw, v_list, t_feats, (3, 3), (9, 9))[2],
+                           params, rng.normal(size=(2, 9, 9)))
+    report("gateway node matches its Tensor graph bit for bit", same_bits(pairs),
+           f"(value and {len(params)} gradients)")
+
+    x = Tensor(rng.normal(size=(3, 5)), trainable=True)
+    pairs = node_and_graph(lambda: state_probs(x, t_feats[-1], 0.07),
+                           lambda: state_probs_graph(x, t_feats[-1], 0.07),
+                           {"x": x, "t_feats": t_feats}, rng.normal(size=(3, 2)))
+    report("image head node matches its Tensor graph bit for bit", same_bits(pairs))
+
+    # predictions at the clamp bounds and beyond them, so its masks bind
+    pred.data.flat[:4] = (0.0, CLAMP_EPS, 1.0 - CLAMP_EPS, 1.0)
+    probs = Tensor(rng.uniform(0.0, 1.0, (4, 2)), trainable=True, name="probs")
+    labels = np.array([0, 1, 1, 0])
+    report("seg and cls loss nodes match their Tensor graphs bit for bit",
+           same_bits(node_and_graph(lambda: seg_loss(pred, target, cfg),
+                                    lambda: seg_loss_graph(pred, target, cfg), {"pred": pred}))
+           and same_bits(node_and_graph(lambda: cls_loss(probs, labels),
+                                        lambda: cls_loss_graph(probs, labels), {"probs": probs})))
 
     blk = TransformerBlock(8, 2, np.random.default_rng(5), "selftest")
     xb = rng.normal(size=(2, 3, 8))

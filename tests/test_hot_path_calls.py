@@ -1,6 +1,6 @@
-"""`tensor.py`, `model.py` and `adapter.py` run on every node of every
-training step, and at batch 1 a step costs more in Python calls than in
-arithmetic. So all three call numpy's C entry points:
+"""`tensor.py`, `model.py`, `adapter.py`, `gateway.py` and `losses.py` run
+on every node of every training step, and at batch 1 a step costs more in
+Python calls than in arithmetic. So all five call numpy's C entry points:
 `np.add.reduce(x, axis) / n` for `x.mean(axis)`, `np.maximum.reduce` for
 `x.max`, ndarray methods for `np.swapaxes` and `np.take`, slices for
 `np.split`, and so on (see the `tensor` module docstring). Each gives the
@@ -27,7 +27,7 @@ import pytest
 import anofuse
 
 PACKAGE = Path(anofuse.__file__).parent
-HOT_MODULES = ("tensor.py", "model.py", "adapter.py")
+HOT_MODULES = ("tensor.py", "model.py", "adapter.py", "gateway.py", "losses.py")
 HOT_FUNCTIONS = (("data.py", "_texture"), ("data.py", "_defect_mask"), ("data.py", "gen_synthetic"),
                  ("data.py", "batch_arrays"), ("train.py", "train"), ("train.py", "Adam.step"),
                  ("gateway.py", "FusionGateway.forward"))

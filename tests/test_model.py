@@ -4,14 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anofuse import losses
 from anofuse import model as model_module
 from anofuse.config import RunConfig
 from anofuse.errors import ShapeError
+from anofuse.gateway import AnomalyMap, FusionGateway
 from anofuse.losses import model_loss
 from anofuse.model import PROMPTS, VOCAB, TransformerBlock, build_model
 from anofuse.tensor import Tensor, grad, no_grad, tsum
 from anofuse.verify import (block_composition, block_input_gradients, check_gradients,
-                            randomize_trainables)
+                            cls_loss_graph, gateway_graph, randomize_trainables, seg_loss_graph,
+                            state_probs_graph)
 
 
 def small_config(**kw):
@@ -376,7 +379,9 @@ def test_gateway_records_as_many_nodes_at_any_group_count():
         text = m.text_forward()
         amap = m.gateway.forward(v_list, text, m.grid, (cfg.image_size, cfg.image_size))
         kinds.append(_node_kinds(amap.upsampled, v_list + [text]))
-    assert kinds[0] == kinds[1] and kinds[0]["softmax"] == 3  # two gates, one map
+        # the levels, the text features and the gate weights, with no stack
+        assert amap.upsampled._parents == (*v_list, text, *m.gateway.params)
+    assert kinds[0] == kinds[1] == {"FusionGateway": 1}
 
 
 def test_text_forward_records_one_stack_and_one_slice_per_group():
@@ -423,7 +428,6 @@ def test_default_step_records_one_node_per_adapter_call():
     loss = _default_step_loss(b=1)
     kinds = _node_kinds(loss)
     assert kinds["ConvLoraAdapter"] == 3 and kinds["LowRankAdapter"] == 3
-    assert len(_graph_tensors(loss)) <= 160  # 210 with each adapter composed of primitives
     m = build_model(RunConfig())
     v_list, v_cls = m.vision_forward(m.vision_prefix(rand_images(m.config, 1, seed=22)))
     # the vision path slices only the class token and each level's patch rows
@@ -441,12 +445,70 @@ def test_group0_vision_adapter_skips_the_gradient_of_the_cached_prefix():
     assert all(g is not None for g in grads[1:])
 
 
-def test_default_step_records_two_stack_nodes():
-    # the vision levels in the gateway and the text features in text_forward
-    assert _default_step_kinds()["stack"] == 2
+def test_default_step_records_one_node_per_head_and_loss():
+    # the gateway, the image head and each loss are one node; only the sum
+    # in model_loss stays two Tensor primitives
+    loss = _default_step_loss(b=1)
+    kinds = _node_kinds(loss)
+    assert all(kinds[k] == 1 for k in ("FusionGateway", "state_probs", "seg_loss", "cls_loss"))
+    assert kinds["add"] == 1 and kinds["mul"] == 1
+    # 160 with these layers composed of primitives, 210 with the adapters too
+    assert len(_graph_tensors(loss)) <= 70
+
+
+def test_default_step_records_one_stack_node():
+    # the text features in text_forward; the gateway reads the levels directly
+    assert _default_step_kinds()["stack"] == 1
 
 
 def test_default_step_reaches_no_tensor_of_rank_five():
     # the cosine head is one matmul over C, so no (..., L, S, C) product of
     # tokens against descriptors is built
     assert max(t.data.ndim for t in _graph_tensors(_default_step_loss())) == 4
+
+
+# a batch size and small_config overrides per case: each batch size, group
+# count, gate switch and focal gamma, and each loss weight at 0
+STEP_CASES = {
+    "b1-g1": dict(b=1, n_groups=1),
+    "b3-g2-static-gamma0-no-focal": dict(b=3, n_groups=2, dfg_on=False, focal_gamma=0.0,
+                                         lambda_focal=0.0),
+    "b1-g4-gamma1.5-no-dice": dict(b=1, n_groups=4, focal_gamma=1.5, lambda_dice=0.0),
+    "b3-g4-static-no-cls": dict(b=3, n_groups=4, dfg_on=False, lambda_cls=0.0),
+    "b3-g2-gamma1.5": dict(b=3, n_groups=2, focal_gamma=1.5),
+}
+
+
+def _composed_layers(monkeypatch):
+    """Run the gateway, the image head and both losses as their graphs of
+    Tensor primitives."""
+    monkeypatch.setattr(FusionGateway, "forward",
+                        lambda gw, *args: AnomalyMap(*gateway_graph(gw, *args), None))
+    monkeypatch.setattr(model_module, "state_probs", state_probs_graph)
+    monkeypatch.setattr(losses, "seg_loss", seg_loss_graph)
+    monkeypatch.setattr(losses, "cls_loss", cls_loss_graph)
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_step_equals_the_composed_graph_bitwise(monkeypatch, case):
+    overrides = dict(STEP_CASES[case])
+    b = overrides.pop("b")
+    cfg = small_config(**overrides)
+    images = rand_images(cfg, b, seed=24)
+    masks = (np.random.default_rng(25).uniform(size=images.shape) > 0.7).astype(np.float64)
+    labels = np.arange(b) % 2
+
+    sizes = []
+
+    def step():
+        m = build_model(cfg)
+        randomize_trainables(m, 26)
+        out = m.forward(m.vision_prefix(images), m.text_forward())
+        total, seg, cls = model_loss(out, masks, labels, cfg)
+        sizes.append(len(_graph_tensors(total)))
+        return [total.data, seg.data, cls.data, *grad(total, m.trainable_params()).values()]
+    fused = step()
+    _composed_layers(monkeypatch)
+    composed = step()
+    assert sizes[0] < sizes[1] and len(fused) == len(composed)
+    assert all(np.array_equal(a, b) for a, b in zip(fused, composed))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anofuse import tensor as T
+from anofuse import verify
 from anofuse.errors import ConfigurationError, ShapeError
 from anofuse.verify import check_gradients, conv2d_loops, maps_to_rows, rows_to_maps
 
@@ -175,12 +176,12 @@ def test_softmax_sum_and_shift_invariance():
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity (the one used by the gateway and the classification loss)
+# cosine similarity (the Tensor graph that the cosine-softmax head reproduces)
 
 
 def cosine(a, b):
     # one row against one row: the (1, 1) table
-    return float(T.cosine(T.Tensor(np.asarray(a, dtype=np.float64)[None]),
+    return float(verify.cosine(T.Tensor(np.asarray(a, dtype=np.float64)[None]),
                           T.Tensor(np.asarray(b, dtype=np.float64)[None])).data[0, 0])
 
 
@@ -210,7 +211,7 @@ def test_cosine_stacked_broadcast_equals_pairs():
     rng = np.random.default_rng(25)
     v = rng.normal(size=(2, 3, 7))
     t = rng.normal(size=(2, 2, 7))
-    got = T.cosine(T.Tensor(v), T.Tensor(t)).data
+    got = verify.cosine(T.Tensor(v), T.Tensor(t)).data
     assert got.shape == (2, 3, 2)
     for b in range(2):
         for l in range(3):
@@ -227,7 +228,7 @@ def test_cosine_matches_einsum_reference(u_shape, v_shape):
     nu = np.sqrt(np.einsum("...c,...c->...", u, u))
     nv = np.sqrt(np.einsum("...c,...c->...", v, v))
     want = np.einsum("...lc,...sc->...ls", u, v) / (nu[..., :, None] * nv[..., None, :])
-    got = T.cosine(T.Tensor(u), T.Tensor(v)).data
+    got = verify.cosine(T.Tensor(u), T.Tensor(v)).data
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
@@ -259,7 +260,7 @@ def test_gap_loop_oracle():
 
 def upsample(m, target):
     """One (H, W) map through the batched upsample, as a batch of 1."""
-    return T.bilinear_upsample(T.Tensor(m[None]), target).data[0]
+    return verify.bilinear_upsample(T.Tensor(m[None]), target).data[0]
 
 
 def test_upsample_constant():
@@ -306,7 +307,7 @@ def test_upsample_rejects_downscale():
 def test_upsample_batched_matches_single():
     rng = np.random.default_rng(13)
     m = rng.normal(size=(3, 4, 4))
-    out = T.bilinear_upsample(T.Tensor(m), (8, 8)).data
+    out = verify.bilinear_upsample(T.Tensor(m), (8, 8)).data
     for b in range(3):
         # every batch row is its own matrix-vector product
         np.testing.assert_array_equal(out[b], upsample(m[b], (8, 8)))
@@ -392,14 +393,14 @@ def test_fd_stack_with_a_constant_member():
 def test_fd_cosine_rows_against_broadcast_rows():
     # (2, 3, 4) rows against (2, 4) rows shared by both leading entries
     def build(p):
-        return T.tsum(T.tanh(T.cosine(p["p0"], p["p1"]) * 3.0))
+        return T.tsum(T.tanh(verify.cosine(p["p0"], p["p1"]) * 3.0))
     _fd_case(build, [(2, 3, 4), (2, 4)], 24)
 
 
 def test_fd_upsample_log_clip():
     def build(p):
         m = T.reshape(p["p0"], (1, 3, 3))
-        up = T.bilinear_upsample(m, (5, 5))
+        up = verify.bilinear_upsample(m, (5, 5))
         sq = T.clip(up * up, 1e-7, 4.0)
         return -T.tmean(T.log(sq))
     _fd_case(build, [(9,)], 21)
