@@ -9,7 +9,10 @@ toward the side with more headroom so clipping cannot wash the defect out.
 
 The per-image sequence of RNG draws is the corpus contract: the arithmetic
 around the draws may move (it calls numpy's C entry points, as the hot
-path does), the draws may not. `tests/test_corpus_pin.py` pins the bytes.
+path does), the draws may not. `gen_synthetic` makes the draws image by
+image and runs the arithmetic on a chunk of images at a time; each noise
+field is still upsampled by one matrix-vector product per image.
+`tests/test_corpus_pin.py` pins the bytes.
 """
 
 from __future__ import annotations
@@ -34,24 +37,15 @@ class Sample:
 
 # side lengths of the noise texture's random fields, upsampled to the image
 NOISE_FIELDS = (4, 8)
+TEXTURE_STD = 0.07
+# bytes of one float64 chunk array: below glibc's default 128 KiB mmap
+# threshold, so no chunk maps pages in and freeing one cannot raise it
+CHUNK_BYTES = 120 * 1024
 
 
-def _texture(rng, size, family):
-    """Zero-mean background pattern, later scaled to a target std."""
-    if family == "sinusoid":
-        fy = rng.uniform(1.5, 4.0)
-        fx = rng.uniform(1.5, 4.0)
-        phy = rng.uniform(0, 2 * np.pi)
-        phx = rng.uniform(0, 2 * np.pi)
-        yy = np.arange(size, dtype=np.float64).reshape(size, 1)  # broadcast against its row
-        pat = np.sin(2 * np.pi * fy * yy / size + phy) * np.sin(2 * np.pi * fx * yy.T / size + phx)
-        pat += 0.35 * rng.normal(size=(size, size))
-        return pat
-    # band-limited noise: coarse fields upsampled plus a fine component
-    coarse, mid = ((bilinear_matrix((n, n), (size, size)) @ rng.normal(size=(n, n)).reshape(-1, 1))
-                   .reshape(size, size) for n in NOISE_FIELDS)
-    fine = rng.normal(size=(size, size))
-    return 1.0 * coarse + 0.7 * mid + 0.35 * fine
+def _chunk_len(size):
+    """Images per chunk of `gen_synthetic` at size x size pixels."""
+    return max(1, CHUNK_BYTES // (8 * size * size))
 
 
 def _defect_mask(rng, size, lo, hi):
@@ -72,47 +66,115 @@ def _defect_mask(rng, size, lo, hi):
     return mask
 
 
-TEXTURE_STD = 0.07
-
-
 def _mean_std(x):
-    """(x.mean(), x.std()) with the bits numpy gives them, without its wrappers."""
-    mean = np.add.reduce(x, None) / x.size
+    """Per row of the (m, P) rows x, (x[i].mean(), x[i].std()) as (m, 1)
+    columns, with the bits numpy gives them, without its wrappers."""
+    n = x.shape[1]
+    mean = np.add.reduce(x, 1, keepdims=True) / n
     dev = x - mean
-    return mean, np.sqrt(np.add.reduce(np.square(dev, out=dev), None) / x.size)
+    return mean, np.sqrt(np.add.reduce(np.square(dev, out=dev), 1, keepdims=True) / n)
+
+
+def _draw_chunk(rng, config, m):
+    """The RNG draws of m images, image after image in the corpus order:
+    family, texture, anomaly, then the defect mask and its shift. Returns
+    each image's family, the sinusoids' (fy, fx, phy, phx) and the noise
+    fields in image order, the (m, H, W) fine components and defect masks,
+    and the anomalous images' shift draws by image index."""
+    size = config.image_size
+    noise, waves, fields = [], [], tuple([] for _ in NOISE_FIELDS)
+    fine = np.empty((m, size, size))
+    masks = np.zeros((m, size, size), dtype=np.uint8)
+    deltas = {}
+    for j in range(m):
+        family = config.texture
+        if family == "mixed":
+            family = "noise" if rng.uniform() < 0.5 else "sinusoid"
+        noise.append(family == "noise")
+        if family == "sinusoid":
+            waves.append((rng.uniform(1.5, 4.0), rng.uniform(1.5, 4.0),
+                          rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)))
+        else:
+            for field, n in zip(fields, NOISE_FIELDS):
+                field.append(rng.normal(size=(n, n)).reshape(n * n, 1))
+        fine[j] = rng.normal(size=(size, size))
+        if rng.uniform() < config.anomaly_rate:
+            masks[j] = _defect_mask(rng, size, config.defect_min, config.defect_max)
+            deltas[j] = rng.uniform(config.delta_min, config.delta_max)
+    return np.array(noise), waves, fields, fine, masks, deltas
+
+
+def _textures(noise, waves, fields, fine):
+    """(m, H*W) zero-mean background patterns, later scaled to a target std,
+    written over `fine`: a sinusoid product, or band-limited noise
+    coarse + 0.7 * mid of the two fields (each upsampled by one
+    matrix-vector product per image), plus 0.35 * fine."""
+    m, size = fine.shape[:2]
+    pats = fine.reshape(m, -1)
+    pats *= 0.35
+    if waves:
+        k = len(waves)
+        yy = np.arange(size, dtype=np.float64)
+        fy, fx, phy, phx = np.array(waves).T.reshape(4, k, 1)
+        sines = (np.sin(2 * np.pi * fy * yy / size + phy).reshape(k, size, 1)
+                 * np.sin(2 * np.pi * fx * yy / size + phx).reshape(k, 1, size))
+        pats[~noise] += sines.reshape(k, -1)
+    if fields[0]:
+        coarse, mid = (np.matmul(bilinear_matrix((n, n), (size, size)), np.array(field))
+                       for field, n in zip(fields, NOISE_FIELDS))
+        mid *= 0.7
+        mid += coarse
+        pats[noise] += mid.reshape(len(mid), -1)
+    return pats
+
+
+def _render_chunk(noise, waves, fields, fine, masks, deltas):
+    """(m, H, W) images of `_draw_chunk`'s draws: the texture scaled to
+    TEXTURE_STD around 0.5, each defect's region shifted, quantized to 8 bits.
+    Only a defect's region mean is taken one image at a time."""
+    m, size = fine.shape[:2]
+    img = _textures(noise, waves, fields, fine)
+    mean, std = _mean_std(img)
+    img -= mean
+    img /= np.maximum(std, 1e-9)
+    img *= TEXTURE_STD
+    np.maximum(img, -3.5 * TEXTURE_STD, out=img)
+    np.minimum(img, 3.5 * TEXTURE_STD, out=img)
+    img += 0.5
+    if deltas:
+        base_mean, sigma = _mean_std(img)
+        flat = masks.reshape(m, -1)
+        shift = np.zeros((m, 1))
+        for j, u in deltas.items():
+            region = img[j][flat[j].view(bool)]
+            # land the region mean `delta` away from the background mean, so
+            # local texture deviations cannot eat into the separability
+            # margin; the sign points toward the side with more headroom
+            sign = 1.0 if base_mean[j, 0] <= 0.5 else -1.0
+            delta = u * sigma[j, 0]
+            shift[j] = base_mean[j, 0] + sign * delta - np.add.reduce(region) / region.size
+        # img + shift * mask, as one image at a time, changes only masked pixels
+        np.add(img, shift, out=img, where=flat.view(bool))
+    np.maximum(img, 0.0, out=img)
+    np.minimum(img, 1.0, out=img)
+    img *= 255.0
+    np.rint(img, out=img)
+    img /= 255.0
+    return img.reshape(m, size, size)
 
 
 def gen_synthetic(config, seed, n, prefix="s"):
-    """Deterministic synthetic corpus; `config` supplies the data knobs."""
+    """Deterministic synthetic corpus; `config` supplies the data knobs.
+    Each sample's arrays are views of its chunk's arrays."""
     rng = np.random.default_rng(seed)
-    size = config.image_size
+    per_chunk = _chunk_len(config.image_size)
     samples = []
-    for i in range(n):
-        if config.texture == "mixed":
-            family = "noise" if rng.uniform() < 0.5 else "sinusoid"
-        else:
-            family = config.texture
-        pat = _texture(rng, size, family)
-        mean, std = _mean_std(pat)
-        pat = (pat - mean) / max(std, 1e-9) * TEXTURE_STD
-        pat = np.minimum(np.maximum(pat, -3.5 * TEXTURE_STD), 3.5 * TEXTURE_STD)
-        img = 0.5 + pat
-        base_mean, sigma = _mean_std(img)
-        anomalous = rng.uniform() < config.anomaly_rate
-        mask = np.zeros((size, size), dtype=np.uint8)
-        if anomalous:
-            mask = _defect_mask(rng, size, config.defect_min, config.defect_max)
-            delta = rng.uniform(config.delta_min, config.delta_max) * sigma
-            region = img[mask.astype(bool)]
-            sign = 1.0 if base_mean <= 0.5 else -1.0
-            # land the region mean `delta` away from the background mean, so
-            # local texture deviations cannot eat into the separability margin
-            shift = base_mean + sign * delta - np.add.reduce(region) / region.size
-            img = img + shift * mask
-        img = np.minimum(np.maximum(img, 0.0), 1.0)
-        img = np.rint(img * 255.0) / 255.0
-        samples.append(Sample(image=img, mask=mask, label=int(anomalous),
-                              id=f"{prefix}_{i:04d}"))
+    for start in range(0, n, per_chunk):
+        noise, waves, fields, fine, masks, deltas = _draw_chunk(rng, config,
+                                                                min(per_chunk, n - start))
+        images = _render_chunk(noise, waves, fields, fine, masks, deltas)
+        samples.extend(Sample(image=images[j], mask=masks[j], label=int(j in deltas),
+                              id=f"{prefix}_{start + j:04d}") for j in range(len(images)))
     return samples
 
 

@@ -1,14 +1,16 @@
 """Byte pins of the synthetic corpora.
 
 Without a data_dir, `data.get_split` generates a split each time a command
-reads it, so any change to `data._texture`, `data._defect_mask` or
-`data.gen_synthetic` must keep the splits byte-identical: the per-image RNG
-draws are the contract, and the arithmetic around them may only move if it
-gives the same bits. Each pin hashes both splits, sample by sample: the
-image as little-endian float64, the uint8 mask, the label and the id.
+reads it, so any change to `data.gen_synthetic` or the functions it calls
+must keep the splits byte-identical: the RNG draws, made image by image,
+are the contract, and the arithmetic around them, run a chunk of images at
+a time, may only move if it gives the same bits. Each pin hashes both
+splits, sample by sample: the image as little-endian float64, the uint8
+mask, the label and the id.
 
 The pins belong to the numpy/BLAS build they were generated with: the
-noise texture upsamples its random fields through a matrix-vector product.
+noise texture upsamples its random fields through a matrix-vector product
+per image.
 """
 
 import hashlib

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from anofuse.config import RunConfig
-from anofuse.data import (Sample, _defect_mask, _mean_std, batch_arrays, export_dataset,
-                          gen_synthetic, get_corpora, load_dataset, read_pgm, write_pgm)
+from anofuse.data import (Sample, _chunk_len, _defect_mask, _mean_std, batch_arrays,
+                          export_dataset, gen_synthetic, get_corpora, load_dataset, read_pgm,
+                          write_pgm)
 from anofuse.errors import DatasetError
 
 
@@ -26,14 +27,35 @@ def test_gen_is_deterministic():
     assert any((s.image != t.image).any() for s, t in zip(a, c))
 
 
-@pytest.mark.parametrize("shape", [(16, 16), (32, 32), (64, 64), (7, 300)])
+@pytest.mark.parametrize("texture", ["noise", "sinusoid", "mixed"])
+@pytest.mark.parametrize("size", [16, 32, 64])
+def test_chunk_boundaries_keep_the_draws_in_order(texture, size):
+    """A corpus of n images is the first n of a longer one, byte for byte,
+    whether n ends inside a chunk, on its boundary or just past it."""
+    cfg = data_config(image_size=size, texture=texture)
+    c = _chunk_len(size)
+    longer = gen_synthetic(cfg, seed=19, n=2 * c + 3)
+    assert [s.id for s in longer] == [f"s_{i:04d}" for i in range(2 * c + 3)]
+    assert len({s.image.tobytes() for s in longer}) == len(longer)  # no image is repeated
+    for n in (1, c - 1, c, c + 1, 2 * c + 1):
+        samples = gen_synthetic(cfg, seed=19, n=n)
+        assert len(samples) == n
+        for s, t in zip(samples, longer):
+            assert (s.id, s.label) == (t.id, t.label)
+            assert s.image.dtype == np.float64 and s.mask.dtype == np.uint8
+            assert s.image.tobytes() == t.image.tobytes() and s.mask.tobytes() == t.mask.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (32, 32), (64, 64), (7, 300), (15, 1024), (1, 256)])
 def test_mean_std_equals_the_ndarray_methods_bitwise(shape):
     rng = np.random.default_rng(40)
     # magnitudes over many decades, so another summation order would show
     x = 0.5 + rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
     mean, std = _mean_std(x)
-    assert type(mean) is type(x.mean()) and type(std) is type(x.std())
-    assert (mean, std) == (x.mean(), x.std())
+    assert mean.shape == std.shape == (shape[0], 1)
+    assert mean.dtype == std.dtype == np.float64
+    for i, row in enumerate(x):
+        assert (mean[i, 0], std[i, 0]) == (row.mean(), row.std())
 
 
 def test_anomaly_rate_zero_gives_clean_corpus():

@@ -8,10 +8,13 @@ same bits.
 
 The same holds for the other functions that run once per step (the batch
 gather in `train.train`, `Adam.step`, `FusionGateway.forward`,
-`data.batch_arrays`) and once per generated image (`data._texture`,
-`data._defect_mask`, `data.gen_synthetic`). Cold paths elsewhere in those
-modules, such as `read_pgm`'s error message or `Adam.__init__`, are not
-checked.
+`data.batch_arrays`) and in the corpus generator. There the RNG draws are
+made once per generated image (`data._draw_chunk`, `data._defect_mask`)
+and the arithmetic runs once per chunk of images (`data._textures`,
+`data._mean_std`, `data._render_chunk`, `data.gen_synthetic`); each noise
+field is still upsampled by one matrix-vector product per image. Cold paths
+elsewhere in those modules, such as `read_pgm`'s error message or
+`Adam.__init__`, are not checked.
 
 This guard reads the syntax tree and fails on a call to one of numpy's
 Python-level wrappers, to the `.mean`/`.sum`/`.max`/`.std` array methods,
@@ -28,9 +31,10 @@ import anofuse
 
 PACKAGE = Path(anofuse.__file__).parent
 HOT_MODULES = ("tensor.py", "model.py", "adapter.py", "gateway.py", "losses.py")
-HOT_FUNCTIONS = (("data.py", "_texture"), ("data.py", "_defect_mask"), ("data.py", "gen_synthetic"),
-                 ("data.py", "batch_arrays"), ("train.py", "train"), ("train.py", "Adam.step"),
-                 ("gateway.py", "FusionGateway.forward"))
+HOT_FUNCTIONS = (("data.py", "_draw_chunk"), ("data.py", "_textures"), ("data.py", "_mean_std"),
+                 ("data.py", "_render_chunk"), ("data.py", "_defect_mask"),
+                 ("data.py", "gen_synthetic"), ("data.py", "batch_arrays"), ("train.py", "train"),
+                 ("train.py", "Adam.step"), ("gateway.py", "FusionGateway.forward"))
 NUMPY_WRAPPERS = frozenset({"argsort", "broadcast_to", "clip", "cumsum", "expand_dims", "max",
                             "mean", "split", "stack", "std", "sum", "swapaxes", "take",
                             "zeros_like"})
