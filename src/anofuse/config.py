@@ -1,9 +1,9 @@
 """Run configuration: model, loss, ablation, optimizer, seed, and data knobs.
 
 Configs round-trip through plain-text ``key = value`` files (one pair per
-line; a ``#`` at the start of a line or after whitespace starts a comment)
-and accept command-line overrides. Unknown keys are rejected with the full
-list of valid keys so typos fail loudly.
+line, each key at most once; a ``#`` at the start of a line or after
+whitespace starts a comment) and accept command-line overrides. Unknown
+keys are rejected with the full list of valid keys so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -184,6 +184,8 @@ def parse_config_text(text):
             continue
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = line.split("=", 1)
-        cfg_values[key.strip()] = raw.strip()
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key in cfg_values:
+            raise ConfigurationError(f"line {lineno}: {key!r} set again")
+        cfg_values[key] = raw
     return apply_overrides(RunConfig(), cfg_values)

@@ -236,8 +236,11 @@ def read_pgm(path):
     pos += 1  # single whitespace byte after maxval
     dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
     count = width * height
-    if len(blob) - pos < count * dtype.itemsize:
+    extra = len(blob) - pos - count * dtype.itemsize
+    if extra < 0:
         raise DatasetError(f"truncated graymap data in {path}")
+    if extra:
+        raise DatasetError(f"graymap {path} has {extra} bytes after its image data")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     if (data > maxval).any():
         raise DatasetError(f"graymap {path} holds value {data.max()} above its maxval {maxval}")

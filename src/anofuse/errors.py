@@ -14,7 +14,7 @@ class ConfigurationError(AnofuseError, ValueError):
 
 
 class TrainingError(AnofuseError, RuntimeError):
-    """Training diverged or trains nothing; `train` attaches the loss trace."""
+    """Training diverged or trains nothing; the message names the step."""
 
 
 class UndefinedMetricError(AnofuseError, ValueError):

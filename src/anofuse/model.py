@@ -20,8 +20,9 @@ group-0 text blocks on both fixed prompts at once, is a model constant:
 it is computed when the model is built and kept as `text_prefix`, so
 `text_forward()` takes no argument. Only the vision prefix, patchify plus
 the group-0 vision blocks of each image (`vision_prefix`), belongs to the
-caller; `train` caches it per training image, since it costs about 5.7 ms
-per chunk of 32 images. The one forward path, `forward(vision_prefix,
+caller; `train_steps` caches it per training image, since it costs about
+5.7 ms per chunk of 32 images. From its prefix each tower runs the same
+group loop (`_groups`). The one forward path, `forward(vision_prefix,
 text)`, takes the (N, S, C) `text_forward` features and returns both
 heads: the gateway's anomaly maps and the image head, `state_probs` of the
 class token against the final group's unfused text pair.
@@ -117,6 +118,22 @@ class TransformerBlock:
     __call__ = forward
 
 
+def _blocks(x, blocks):
+    """`x` through each block in turn."""
+    for block in blocks:
+        x = block(x)
+    return x
+
+
+def _groups(prefix, groups, adapters, grid):
+    """The tokens after each group's adapter, starting from `prefix`: group
+    0's blocks belong to the prefix, every later group runs its blocks first."""
+    x = prefix
+    for blocks, adapter in zip([(), *groups[1:]], adapters):
+        x = adapter(_blocks(x, blocks), grid)
+        yield x
+
+
 class GroupedModel:
     def __init__(self, config: RunConfig, rng):
         self.config = config
@@ -151,9 +168,7 @@ class GroupedModel:
         # no graph. The prompts have one length L.
         ids = np.array([[VOCAB.index(w) for w in PROMPTS[state]] for state in STATES])
         x = Tensor(self.tok_embed.data[ids] + self.txt_pos.data[:ids.shape[1]])
-        for block in self.text_groups[0]:
-            x = block(x)
-        self.text_prefix = x
+        self.text_prefix = _blocks(x, self.text_groups[0])
 
     # ------------------------------------------------------------------
     # vision path
@@ -178,10 +193,7 @@ class GroupedModel:
     def vision_prefix(self, images):
         """Patchify, then the group-0 blocks: the (B, 1 + P, C) tokens that
         enter the first adapter. Row i depends on image i alone."""
-        x = self.patchify(images)
-        for block in self.vision_groups[0]:
-            x = block(x)
-        return x
+        return _blocks(self.patchify(images), self.vision_groups[0])
 
     def vision_forward(self, prefix):
         """Run the vision groups from the prefix; after each group its adapter
@@ -190,13 +202,8 @@ class GroupedModel:
         Returns (V_list, v_cls_final): V_list[i] is the post-adapter patch
         token tensor of group i, v_cls_final the final class token.
         """
-        x = prefix
         v_list = []
-        for g in range(self.config.n_groups):
-            # group 0's blocks belong to the prefix
-            for block in self.vision_groups[g] if g else ():
-                x = block(x)
-            x = self.vision_adapters[g](x, self.grid)
+        for x in _groups(prefix, self.vision_groups, self.vision_adapters, self.grid):
             v_list.append(x[:, 1:, :])
         return v_list, x[:, 0, :]
 
@@ -211,15 +218,8 @@ class GroupedModel:
         index s after group g. The final group's (S, C) (normal, abnormal)
         pair, t_feats[-1], is the unfused anchor used for classification.
         """
-        feats = []
-        x = self.text_prefix
-        for g in range(self.config.n_groups):
-            # group 0's blocks belong to the prefix
-            for block in self.text_groups[g] if g else ():
-                x = block(x)
-            x = self.text_loras[g](x)
-            feats.append(x[:, -1, :])
-        return tt.stack(feats)
+        return tt.stack([x[:, -1, :] for x in
+                         _groups(self.text_prefix, self.text_groups, self.text_loras, None)])
 
     # ------------------------------------------------------------------
 

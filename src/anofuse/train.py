@@ -74,50 +74,46 @@ def vision_prefixes(model, samples, size):
         yield model.vision_prefix(batch_arrays(samples[start:start + size])[0])
 
 
-def train(config: RunConfig, corpora) -> TrainResult:
-    """Deterministic training run on corpora[0], a (train, test) pair whose
-    test split it does not read; aborts with the trace on divergence or a
-    zero gradient.
-
-    The frozen vision prefix of every training image is computed once per
-    run; each step gathers its batch's rows.
-    """
-    model = build_model(config)
-    train_samples = corpora[0]
+def train_steps(model, config: RunConfig, samples):
+    """Train `model` in place on `samples`, yielding (step, total, seg, cls)
+    after each Adam step. A non-finite loss, a numpy FPE or an all-zero
+    gradient raises TrainingError naming its step. The frozen vision prefix
+    of every sample is computed once; each step gathers its batch's rows."""
     opt = Adam(model.trainable_params(), config.lr)
-    batches = _batch_indices(len(train_samples), config.batch_size,
+    batches = _batch_indices(len(samples), config.batch_size,
                              np.random.default_rng(config.data_seed + 10_000))
     # one (1, 1 + P, C) copy per row, so each chunk is freed after its turn
-    vision_rows = [row.copy() for prefix in vision_prefixes(model, train_samples, config.batch_size)
+    vision_rows = [row.copy() for prefix in vision_prefixes(model, samples, config.batch_size)
                    for row in prefix.data[:, None]]
-    trace = []
     for step in range(config.steps):
         idx = next(batches)
-        _, masks, labels = batch_arrays([train_samples[i] for i in idx])
+        _, masks, labels = batch_arrays([samples[i] for i in idx])
         prefix = Tensor(np.concatenate([vision_rows[i] for i in idx]))
+        # numpy overflow, invalid or divide ends the run; Adam runs outside
         try:
-            # numpy overflow, invalid or divide ends the run; Adam runs outside
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    out = model.forward(prefix, model.text_forward())
-                    total, seg, cls = model_loss(out, masks, labels, config)
-                    if not np.isfinite(total.data):
-                        raise TrainingError(f"step {step}: non-finite loss {float(total.data)}")
-                    grads = grad(total, opt.params)
-            except FloatingPointError as exc:
-                raise TrainingError(f"step {step}: numpy {exc}") from exc
-            if not any(g.any() for g in grads.values()):
-                raise TrainingError(f"step {step}: every trainable gradient is exactly zero")
-        except TrainingError as exc:
-            exc.trace = trace
-            raise
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                out = model.forward(prefix, model.text_forward())
+                total, seg, cls = model_loss(out, masks, labels, config)
+                if not np.isfinite(total.data):
+                    raise TrainingError(f"step {step}: non-finite loss {float(total.data)}")
+                grads = grad(total, opt.params)
+        except FloatingPointError as exc:
+            raise TrainingError(f"step {step}: numpy {exc}") from exc
+        if not any(g.any() for g in grads.values()):
+            raise TrainingError(f"step {step}: every trainable gradient is exactly zero")
         opt.step(grads)
-        trace.append((step, float(total.data), float(seg.data), float(cls.data)))
         # `out`, `total`, `seg`, `cls` and `grads` keep this step's graph alive
         # until the next step rebinds them. Freeing it here lowers peak RSS, but
         # glibc then trims the freed heap top and the next step faults it back
         # in, which costs more wall time than the memory is worth.
-    return TrainResult(model=model, trace=trace)
+        yield step, float(total.data), float(seg.data), float(cls.data)
+
+
+def train(config: RunConfig, corpora) -> TrainResult:
+    """Deterministic training run of a new model on corpora[0], a (train,
+    test) pair whose test split it does not read."""
+    model = build_model(config)
+    return TrainResult(model=model, trace=list(train_steps(model, config, corpora[0])))
 
 
 def predict(model, samples):

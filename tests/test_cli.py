@@ -149,6 +149,14 @@ def test_config_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: unknown config key '\ufffd\ufffd'")
 
 
+def test_config_file_that_sets_a_key_twice_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("lr = 1\nsteps = 2\nlr = 0.5\n")
+    assert main(["train", "--out", str(tmp_path / "run"), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: line 3: 'lr' set again"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("override", [["--lr", "nan"], ["--lr", "inf"], ["--temperature", "nan"],
                                       ["--dice_smooth", "nan"], ["--lambda_cls", "inf"],
                                       ["--focal_gamma", "inf"]],

@@ -54,6 +54,12 @@ def test_line_without_equals_rejected():
         parse_config_text("steps = 3\nsteps 4")
 
 
+def test_repeated_key_rejected():
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text("lr = 1\n# lower\n lr=0.5")
+    assert str(err.value) == "line 3: 'lr' set again"
+
+
 @pytest.mark.parametrize("raw,want", [("1", True), ("True", True), ("yes", True), ("on", True),
                                       ("0", False), ("false", False), ("No", False),
                                       ("off", False)])

@@ -176,6 +176,15 @@ def test_pgm_truncated_data_rejected(tmp_path):
     assert "short.pgm" in str(err.value)
 
 
+def test_pgm_bytes_after_the_data_rejected(tmp_path):
+    # a CRLF header leaves the LF as the first data byte and one byte over
+    bad = tmp_path / "crlf.pgm"
+    bad.write_bytes(b"P5\r\n2 2\r\n255\r\n" + bytes([10, 20, 30, 40]))
+    with pytest.raises(DatasetError) as err:
+        read_pgm(bad)
+    assert str(err.value) == f"graymap {bad} has 1 bytes after its image data"
+
+
 @pytest.mark.parametrize("maxval", [0, 65536])
 def test_pgm_maxval_outside_pgm_range_rejected(tmp_path, maxval):
     bad = tmp_path / "flat.pgm"

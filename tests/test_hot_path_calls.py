@@ -7,7 +7,7 @@ Python calls than in arithmetic. So all five call numpy's C entry points:
 same bits.
 
 The same holds for the other functions that run once per step (the batch
-gather in `train.train`, `Adam.step`, `FusionGateway.forward`,
+gather in `train.train_steps`, `Adam.step`, `FusionGateway.forward`,
 `data.batch_arrays`) and in the corpus generator. There the RNG draws are
 made once per generated image (`data._draw_chunk`, `data._defect_mask`)
 and the arithmetic runs once per chunk of images (`data._textures`,
@@ -33,8 +33,9 @@ PACKAGE = Path(anofuse.__file__).parent
 HOT_MODULES = ("tensor.py", "model.py", "adapter.py", "gateway.py", "losses.py")
 HOT_FUNCTIONS = (("data.py", "_draw_chunk"), ("data.py", "_textures"), ("data.py", "_mean_std"),
                  ("data.py", "_render_chunk"), ("data.py", "_defect_mask"),
-                 ("data.py", "gen_synthetic"), ("data.py", "batch_arrays"), ("train.py", "train"),
-                 ("train.py", "Adam.step"), ("gateway.py", "FusionGateway.forward"))
+                 ("data.py", "gen_synthetic"), ("data.py", "batch_arrays"),
+                 ("train.py", "train_steps"), ("train.py", "Adam.step"),
+                 ("gateway.py", "FusionGateway.forward"))
 NUMPY_WRAPPERS = frozenset({"argsort", "broadcast_to", "clip", "cumsum", "expand_dims", "max",
                             "mean", "split", "stack", "std", "sum", "swapaxes", "take",
                             "zeros_like"})

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from anofuse.losses import image_score
 from anofuse.model import build_model
 from anofuse.tensor import Tensor, no_grad
 from anofuse.train import (BETA1, BETA2, EPS, EVAL_BATCH, Adam, _batch_indices, predict, train,
-                           vision_prefixes)
+                           train_steps, vision_prefixes)
 from anofuse.verify import randomize_trainables
 
 
@@ -64,20 +67,39 @@ def test_predict_equals_forward_batch_by_batch():
             assert np.array_equal(weights[:, :, start:end], amap.fusion_weights)
 
 
+SMALL_RUN = RunConfig(n_groups=2, channels=8, heads=2, rank=2, gate_hidden=2,
+                      branch_kernels=(3,), patch_size=8, image_size=16, defect_min=3,
+                      defect_max=8, steps=20, batch_size=2, n_train=6, n_test=4)
+
+
 def test_diverging_run_keeps_trace_and_names_its_step():
-    cfg = RunConfig(n_groups=2, channels=8, heads=2, rank=2, gate_hidden=2,
-                    branch_kernels=(3,), patch_size=8, image_size=16, defect_min=3,
-                    defect_max=8, steps=20, batch_size=2, n_train=6, n_test=4)
-    train_s, test_s = get_corpora(cfg)
+    cfg = SMALL_RUN
+    train_s, _ = get_corpora(cfg)
     # poison a sample that the first batch does not draw, so one step succeeds
     first = next(_batch_indices(len(train_s), cfg.batch_size,
                                 np.random.default_rng(cfg.data_seed + 10_000)))
     poisoned = min(set(range(len(train_s))) - set(first.tolist()))
     train_s[poisoned].image[3, 5] = np.nan
+    rows = []
     with pytest.raises(TrainingError) as err:
-        train(cfg, corpora=(train_s, test_s))
-    assert err.value.trace
-    assert str(err.value) == f"step {len(err.value.trace)}: non-finite loss nan"
+        for row in train_steps(build_model(cfg), cfg, train_s):
+            rows.append(row)
+    assert rows
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    assert str(err.value) == f"step {len(rows)}: non-finite loss nan"
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_first_k_steps_leave_the_model_of_a_k_step_run(k):
+    cfg = replace(SMALL_RUN, steps=5)
+    corpora = get_corpora(cfg)
+    model = build_model(cfg)
+    rows = list(islice(train_steps(model, cfg, corpora[0]), k))
+    want = train(replace(cfg, steps=k), corpora)
+    assert rows == want.trace
+    got = model.named_params()
+    for name, t in want.model.named_params().items():
+        assert np.array_equal(got[name].data, t.data), name
 
 
 def per_name_adam(params, lr, grads_per_step):
