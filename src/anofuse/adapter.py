@@ -98,6 +98,10 @@ class ConvLoraAdapter:
                 dconv_down.append(dw)
                 dz = dzk if dz is None else dz + dzk
             dw_down = _unbroadcast(np.matmul(rows.swapaxes(-1, -2), dz), w_down.shape)
+            # the one skip left to a VJP (`grad` drops every other unwanted
+            # gradient): at group 0, x is the cached vision prefix, and its
+            # gradient is a matmul and a copy of the whole token tensor
+            # (278 KB at batch 32, above glibc's mmap threshold)
             dx = _updated(g, s, np.matmul(dz, w_down.T)) if x.requires_grad else None
             return (dx, dw_down, dw_up, *dconv_down, *dconv_up, dfuse)
         return _node(_updated(x.data, s, np.matmul(cat, u)), (x, *self.params), vjp)
@@ -127,6 +131,8 @@ class LowRankAdapter:
             dz = np.matmul(gp, w_up.T)
             dw_up = _unbroadcast(np.matmul(z.swapaxes(-1, -2), gp), w_up.shape)
             dw_down = _unbroadcast(np.matmul(x.data[:, s:].swapaxes(-1, -2), dz), w_down.shape)
+            # skipped as in ConvLoraAdapter: at group 0, x is a cached prefix
+            # (the vision prefix in the low-rank ablation, or the text prefix)
             dx = _updated(g, s, np.matmul(dz, w_down.T)) if x.requires_grad else None
             return (dx, dw_down, dw_up)
         return _node(_updated(x.data, s, np.matmul(z, w_up)), (x, self.w_down, self.w_up), vjp)

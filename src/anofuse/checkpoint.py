@@ -51,9 +51,9 @@ def _line(blob, pos, path):
 
 
 def _count(line, key, path):
-    """The count of a `key N` header line."""
+    """The count of a `key N` header line, N in ASCII digits."""
     parts = line.split(" ")
-    if len(parts) != 2 or parts[0] != key or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != key or not (parts[1].isascii() and parts[1].isdigit()):
         raise DatasetError(f"{path}: corrupt checkpoint header {line!r}, want '{key} <count>'")
     return int(parts[1])
 
@@ -84,6 +84,7 @@ def load_checkpoint(path):
         raise DatasetError(f"{path}: frozen weights differ from those model_seed "
                            f"{config.model_seed} builds (digest mismatch)")
     params = model.trainable_params()
+    unread = set(params)
     line, pos = _line(blob, pos, path)
     n_params = _count(line, "params", path)
     if n_params != len(params):
@@ -97,6 +98,9 @@ def load_checkpoint(path):
             raise DatasetError(f"{path}: corrupt parameter header {line!r}") from None
         if name not in params:
             raise DatasetError(f"{path}: unknown parameter {name!r} in checkpoint")
+        if name not in unread:
+            raise DatasetError(f"{path}: repeated parameter {name!r} in checkpoint")
+        unread.remove(name)
         t = params[name]
         if shape != t.data.shape:
             raise DatasetError(f"{path}: parameter {name!r} mismatch: {shape} vs {t.data.shape}")

@@ -14,10 +14,11 @@ A gateway call is one graph node with a hand-written VJP, as a frozen
 TransformerBlock and an adapter call are: its parents are the N levels, the
 text features and the gate weights, and it covers the gates, the fused
 descriptors, the level maps, their mean and the upsampling. `state_probs`
-is one node too. Both run the numpy operations of the graph that the Tensor
-primitives would record (`verify.gateway_graph` and
-`verify.state_probs_graph`), in the same order, so their values and
-gradients carry the same bits.
+is one node too. Each VJP returns a gradient for every parent, and
+`tensor.grad` drops those of constant parents. Both nodes run the numpy
+operations of the graph that the Tensor primitives would record
+(`verify.gateway_graph` and `verify.state_probs_graph`), in the same order,
+so their values and gradients carry the same bits.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ def state_probs(x, t, temperature):
     the (..., L, C) rows of Tensor x to the (..., S, C) state descriptors t,
     as one graph node."""
     probs, saved = cosine_softmax_fwd(x.data, t.data, temperature)
-    return _node(probs, (x, t), lambda g: cosine_softmax_bwd(g, saved, temperature,
-                                                             x.requires_grad, t.requires_grad))
+    return _node(probs, (x, t), lambda g: cosine_softmax_bwd(g, saved, temperature))
 
 
 def aligned_weights(n, b):
@@ -48,18 +48,17 @@ def aligned_weights(n, b):
 
 
 class AnomalyMap:
-    """Per-level maps, their mean, and the pixel-resolution upsampling.
+    """Per-level maps and the pixel-resolution upsampling of their mean.
 
     All map values lie strictly inside (0, 1). `per_level` is the (N, B, H, W)
-    Tensor of level maps and `aggregated` their (B, H, W) mean; only
-    `upsampled` carries the graph. `fusion_weights` is the (S, N, B, N) array
-    whose [s, i] rows are the weights over the text levels used at level i
-    for state index s, kept for diagnostics and tests.
+    array of level maps; `upsampled`, the (B, H', W') Tensor of their mean at
+    pixel resolution, is the one that carries the graph. `fusion_weights` is
+    the (S, N, B, N) array whose [s, i] rows are the weights over the text
+    levels used at level i for state index s, kept for diagnostics and tests.
     """
 
-    def __init__(self, per_level, aggregated, upsampled, fusion_weights):
+    def __init__(self, per_level, upsampled, fusion_weights):
         self.per_level = per_level
-        self.aggregated = aggregated
         self.upsampled = upsampled
         self.fusion_weights = fusion_weights
 
@@ -88,9 +87,9 @@ class FusionGateway:
         return softmax_fwd(np.matmul(h, self.w2[state].data)), h
 
     def forward(self, v_list, t_feats, grid, pixel_hw):
-        """Per-level maps, their mean, and the upsampled mean from the N
-        (B, L, C) vision level Tensors and the (N, S, C) text features; every
-        stage runs once on the (N, B, ...) stack of the levels."""
+        """The `AnomalyMap` of the N (B, L, C) vision level Tensors and the
+        (N, S, C) text features; every stage runs once on the (N, B, ...)
+        stack of the levels."""
         n = self.n_groups
         if len(v_list) != n or len(t_feats.data) != n:
             raise ShapeError(f"expected {n} levels")
@@ -111,14 +110,13 @@ class FusionGateway:
         agg = np.add.reduce(maps, 0) * (1.0 / n)
         up_matrix = bilinear_matrix(agg.shape[1:], pixel_hw)
         up = np.matmul(up_matrix, agg.reshape(b, l, 1)).reshape(b, pixel_hw[0], pixel_hw[1])
-        need_v = [x.requires_grad for x in v_list]
 
         def vjp(g):
             # the upsampling and the mean, back onto the abnormal column
             gm = np.matmul(up_matrix.swapaxes(-1, -2), g.reshape(b, -1, 1)).reshape(agg.shape)
             gp = np.zeros(probs.shape)
             gp[..., 1] = (gm * (1.0 / n)).reshape(1, b, l)
-            dv, dt = cosine_softmax_bwd(gp, saved, self.temperature, any(need_v))
+            dv, dt = cosine_softmax_bwd(gp, saved, self.temperature)
             dtf = np.zeros(tf.shape)
             dvg, dw1, dw2 = None, [], []
             for s, (w, h) in enumerate(gates):
@@ -134,11 +132,9 @@ class FusionGateway:
                 dw1.append(_unbroadcast(np.matmul(v_glob.swapaxes(-1, -2), dpre), w1.shape))
                 dg = np.matmul(dpre, w1.swapaxes(-1, -2))
                 dvg = dg if dvg is None else dvg + dg
-            if dv is not None and dvg is not None:
+            if dvg is not None:
                 dv += (dvg / l)[:, :, None, :]  # the pooled context's share, added last
-            return (*(dv[i] if need else None for i, need in enumerate(need_v)),
-                    dtf if t_feats.requires_grad else None, *dw1, *dw2)
+            return (*dv, dtf, *dw1, *dw2)
 
         upsampled = _node(up, (*v_list, t_feats, *self.params), vjp)
-        return AnomalyMap(Tensor(maps), Tensor(agg), upsampled,
-                          np.concatenate([w[None] for w, _ in gates]))
+        return AnomalyMap(maps, upsampled, np.concatenate([w[None] for w, _ in gates]))

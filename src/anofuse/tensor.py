@@ -131,39 +131,31 @@ def _unbroadcast(g, shape):
 # elementwise and reduction primitives
 
 
-# A VJP returns None for a parent that does not require a gradient (a frozen
-# weight or a constant) and does not compute that gradient. Single-parent
-# primitives need no such test: `_node` records a graph only when some parent
-# requires a gradient.
+# A VJP returns a gradient for each of its parents, and `grad` drops the one
+# handed to a parent that needs none (a frozen weight or a constant). The
+# backbone's weights never reach these primitives: a frozen block is one node
+# whose only parent is its input.
 
 
 def add(a, b):
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
-    return _node(a.data + b.data, (a, b), vjp)
+    return _node(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
-    return _node(a.data - b.data, (a, b), vjp)
+    return _node(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
-    def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
-    return _node(a.data * b.data, (a, b), vjp)
+    return _node(a.data * b.data, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                                                     _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b):
-    def vjp(g):
-        return (_unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-                if b.requires_grad else None)
-    return _node(a.data / b.data, (a, b), vjp)
+    return _node(a.data / b.data, (a, b),
+                 lambda g: (_unbroadcast(g / b.data, a.data.shape),
+                            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def pow_const(a, c):
@@ -241,7 +233,7 @@ def concat(tensors, axis):
         grads, lo = [], 0
         for t in tensors:
             hi = lo + t.data.shape[axis]
-            grads.append(g[lead + (slice(lo, hi),)] if t.requires_grad else None)
+            grads.append(g[lead + (slice(lo, hi),)])
             lo = hi
         return grads
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
@@ -250,8 +242,7 @@ def concat(tensors, axis):
 def stack(tensors):
     """Equal-shape tensors stacked along a new leading axis."""
     tensors = list(tensors)
-    return _node(np.concatenate([t.data[None] for t in tensors]), tensors,
-                 lambda g: tuple(gi if t.requires_grad else None for t, gi in zip(tensors, g)))
+    return _node(np.concatenate([t.data[None] for t in tensors]), tensors, lambda g: tuple(g))
 
 
 def slice_tensor(a, idx):
@@ -269,12 +260,8 @@ def matmul(a, b):
         raise ShapeError("matmul operands must have rank >= 2")
 
     def vjp(g):
-        da = db = None
-        if a.requires_grad:
-            da = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
-        if b.requires_grad:
-            db = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
-        return (da, db)
+        return (_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape),
+                _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
     return _node(np.matmul(a.data, b.data), (a, b), vjp)
 
 
@@ -407,28 +394,23 @@ def conv_rows_fwd(x, w, grid):
     return (cols @ w.transpose(2, 3, 1, 0).reshape(k * k * cin, cout)).reshape(b, l, cout), cols
 
 
-def conv_rows_bwd(g, cols, w, grid, need_dx=True, need_dw=True):
+def conv_rows_bwd(g, cols, w, grid):
     """Input and weight gradients of `conv_rows_fwd` from the output gradient
-    g and the forward's columns; one not asked for is None. The input
-    gradient is the same gather on g with w flipped in space and its channel
-    axes swapped, which for odd k and 'same' padding is the transposed
-    convolution."""
+    g and the forward's columns. The input gradient is the same gather on g
+    with w flipped in space and its channel axes swapped, which for odd k and
+    'same' padding is the transposed convolution."""
     cout, cin, k, _ = w.shape
     b, l, _ = g.shape
-    dx = dw = None
-    if need_dw:
-        dw = (cols.T @ g.reshape(b * l, cout)).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
-    if need_dx:
-        wt = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-        dx = (_columns(g, _neighbours(grid, k)) @ wt).reshape(b, l, cin)
+    dw = (cols.T @ g.reshape(b * l, cout)).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
+    wt = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+    dx = (_columns(g, _neighbours(grid, k)) @ wt).reshape(b, l, cin)
     return dx, dw
 
 
 def conv_rows(x, w, grid):
     """`conv_rows_fwd` as a graph node."""
     y, cols = conv_rows_fwd(x.data, w.data, grid)
-    return _node(y, (x, w), lambda g: conv_rows_bwd(g, cols, w.data, grid, x.requires_grad,
-                                                    w.requires_grad))
+    return _node(y, (x, w), lambda g: conv_rows_bwd(g, cols, w.data, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +437,26 @@ def cosine_softmax_fwd(x, t, temperature):
     return probs, (x, tt, sx, st, nx, nt, m, d, probs)
 
 
-def cosine_softmax_bwd(g, saved, temperature, need_x=True, need_t=True):
+def cosine_softmax_bwd(g, saved, temperature):
     """Gradients of `cosine_softmax_fwd` for x and t from the gradient g of
-    its probabilities; one not asked for is None. A squared norm's gradient
-    passes its square root and its floor (zero where the floor binds) and
-    reaches the rows twice, as the two factors of x * x."""
+    its probabilities. A squared norm's gradient passes its square root and
+    its floor (zero where the floor binds) and reaches the rows twice, as the
+    two factors of x * x."""
     x, tt, sx, st, nx, nt, m, d, probs = saved
     gc = softmax_bwd(g, probs) * (1.0 / temperature)
     dm = gc / d
     dd = -gc * m / (d * d)
-    dx = dt = None
-    if need_x:
-        gx = (_unbroadcast(dd * nt, nx.shape) / (2.0 * nx)
-              * ((sx > NORM_FLOOR) & (sx < np.inf)) * x)
-        dx = _unbroadcast(np.matmul(dm, tt.swapaxes(-1, -2)), x.shape)
-        dx += gx
-        dx += gx
-    if need_t:
-        gt = (_unbroadcast(dd * nx, nt.shape) / (2.0 * nt)
-              * ((st > NORM_FLOOR) & (st < np.inf)) * tt)
-        dt = _unbroadcast(np.matmul(x.swapaxes(-1, -2), dm), tt.shape)
-        dt += gt
-        dt += gt
-        dt = dt.swapaxes(-1, -2)
-    return dx, dt
+    gx = (_unbroadcast(dd * nt, nx.shape) / (2.0 * nx)
+          * ((sx > NORM_FLOOR) & (sx < np.inf)) * x)
+    dx = _unbroadcast(np.matmul(dm, tt.swapaxes(-1, -2)), x.shape)
+    dx += gx
+    dx += gx
+    gt = (_unbroadcast(dd * nx, nt.shape) / (2.0 * nt)
+          * ((st > NORM_FLOOR) & (st < np.inf)) * tt)
+    dt = _unbroadcast(np.matmul(x.swapaxes(-1, -2), dm), tt.shape)
+    dt += gt
+    dt += gt
+    return dx, dt.swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -514,8 +492,11 @@ def grad(loss, params):
     """Gradients of a scalar loss for every tensor in `params` (a name ->
     Tensor map) that requires one; a frozen entry gets no entry.
 
-    One reverse sweep from `loss` in topological order; a non-finite loss
-    gives non-finite gradients, and `train` checks the loss first.
+    One reverse sweep from `loss` in topological order. This is the one
+    place that decides which gradients are kept: a VJP returns one for each
+    parent, and the sweep drops those of parents that require none. A
+    non-finite loss gives non-finite gradients, and `train` checks the loss
+    first.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ShapeError("grad() wants a scalar loss Tensor")
@@ -542,7 +523,7 @@ def grad(loss, params):
         if node._vjp is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(grads.pop(node))):
-            if pg is None:
+            if not parent.requires_grad:
                 continue
             # out of place: a VJP may hand one array (or views of it)
             # to several parents, and a leaf may already hold it

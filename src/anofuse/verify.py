@@ -170,14 +170,6 @@ def block_composition(block, x):
     return x + matmul(gelu(matmul(layer_norm(x), block.w1)), block.w2)
 
 
-def block_input_gradients(block, x, probe):
-    """Input gradient of sum(probe * out) through the fused block and
-    through `block_composition`, for a (B, L, C) array x."""
-    xt = Tensor(x, trainable=True)
-    return tuple(grad(tsum(f(xt) * probe), {"x": xt})["x"]
-                 for f in (block, lambda t: block_composition(block, t)))
-
-
 def adapter_branch_composition(x, adapter, k, grid):
     """One Conv-LoRA branch on (B, L, C) array tokens: bottleneck, two
     1/k-scaled k x k loop convolutions on the (B, r, H, W) map,
@@ -251,7 +243,7 @@ def state_probs_graph(x, t, temperature):
 
 def gateway_graph(gateway, v_list, t_feats, grid, pixel_hw):
     """`FusionGateway.forward` as a graph of Tensor primitives: the
-    (N, B, H, W) level maps, their mean and the upsampled mean."""
+    (N, B, H, W) level maps and the upsampled mean."""
     n = gateway.n_groups
     v = stack(v_list)  # (N, B, L, C)
     _, b, _, c = v.data.shape
@@ -265,8 +257,7 @@ def gateway_graph(gateway, v_list, t_feats, grid, pixel_hw):
                 for s in range(len(STATES))], axis=2)  # (N, B, S, C)
     maps = reshape(state_probs_graph(v, t, gateway.temperature)[..., 1],
                    (n, b) + tuple(grid))
-    agg = tsum(maps, axis=0) * (1.0 / n)
-    return maps, agg, bilinear_upsample(agg, pixel_hw)
+    return maps, bilinear_upsample(tsum(maps, axis=0) * (1.0 / n), pixel_hw)
 
 
 def focal_loss(pred, target, gamma, alpha):
@@ -413,7 +404,7 @@ def run_selftest():
         amap = gw.forward(v_list, t_feats, (3, 3), (9, 9))
     maps = gateway_composition(gw, v_list, t_feats, (3, 3))
     report("gateway matches straight-line composition",
-           np.abs(amap.aggregated.data - np.mean(maps, axis=0)).max() < 1e-12)
+           all(np.abs(got - want).max() < 1e-12 for got, want in zip(amap.per_level, maps)))
 
     pred = Tensor(rng.uniform(0.02, 0.98, (6, 6)), trainable=True, name="pred")
     target = (rng.uniform(size=(6, 6)) > 0.5).astype(float)
@@ -433,7 +424,7 @@ def run_selftest():
     t_feats = Tensor(rng.normal(size=(2, 2, 5)), trainable=True, name="t_feats")
     params = {t.name: t for t in (*v_list, t_feats, *gw.params)}
     pairs = node_and_graph(lambda: gw.forward(v_list, t_feats, (3, 3), (9, 9)).upsampled,
-                           lambda: gateway_graph(gw, v_list, t_feats, (3, 3), (9, 9))[2],
+                           lambda: gateway_graph(gw, v_list, t_feats, (3, 3), (9, 9))[1],
                            params, rng.normal(size=(2, 9, 9)))
     report("gateway node matches its Tensor graph bit for bit", same_bits(pairs),
            f"(value and {len(params)} gradients)")
@@ -455,12 +446,13 @@ def run_selftest():
                                         lambda: cls_loss_graph(probs, labels), {"probs": probs})))
 
     blk = TransformerBlock(8, 2, np.random.default_rng(5), "selftest")
-    xb = rng.normal(size=(2, 3, 8))
-    with no_grad():
-        same = np.array_equal(blk(Tensor(xb)).data, block_composition(blk, Tensor(xb)).data)
-    g_fused, g_composed = block_input_gradients(blk, xb, rng.normal(size=xb.shape))
-    rel = np.abs(g_fused - g_composed).max() / np.abs(g_composed).max()
-    report("fused transformer block matches composed block", same and rel < 1e-12,
+    xb = Tensor(rng.normal(size=(2, 3, 8)), trainable=True)
+    (y_fused, g_fused), (y_composed, g_composed) = node_and_graph(
+        lambda: blk(xb), lambda: block_composition(blk, xb), {"x": xb},
+        rng.normal(size=xb.data.shape))
+    rel = np.abs(g_fused["x"] - g_composed["x"]).max() / np.abs(g_composed["x"]).max()
+    report("fused transformer block matches composed block",
+           np.array_equal(y_fused, y_composed) and rel < 1e-12,
            f"(input gradient within {rel:.1e} relative)")
 
     res = full_model_gradient_suite(_selftest_config())

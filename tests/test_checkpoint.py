@@ -103,7 +103,9 @@ def test_shape_mismatch_rejected(saved):
 @pytest.mark.parametrize("good,bad", [
     (b"step 7\n", b"step x\n"),
     (b"step 7\n", b"step \xff\n"),
+    (b"step 7\n", "step \u00b2\n".encode()),  # a superscript two: a digit, not ASCII
     (b"\nconfig ", b"\nconfig\n"),
+    (b"\nconfig 32\n", "\nconfig \u0663\n".encode()),  # int() reads the Arabic-Indic 3 as 3
     pytest.param(b"text.g0.lora.w_up 2,8\n", b"text.g0.lora.w_up2,8\n", id="param_header"),
     (b"\nfrozen ", b"\nfrozen\n"),
 ])
@@ -115,13 +117,17 @@ def test_corrupt_header_rejected_naming_the_file(saved, good, bad):
     with pytest.raises(DatasetError, match="corrupt") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+    assert bad.strip().decode(errors="replace") in str(err.value)  # the header that is wrong
 
 
 @pytest.mark.parametrize("good,bad,message", [
     (b"\nparams 18\n", b"\nparams 19\n", "checkpoint has 19 params, model wants 18"),
     (b"text.g0.lora.w_up 2,8\n", b"text.g0.lora.w_uq 2,8\n",
      "unknown parameter 'text.g0.lora.w_uq' in checkpoint"),
-], ids=["param_count", "unknown_param"])
+    # the same shape, so only the repeat tells the entries apart
+    (b"text.g1.lora.w_down 8,2\n", b"text.g0.lora.w_down 8,2\n",
+     "repeated parameter 'text.g0.lora.w_down' in checkpoint"),
+], ids=["param_count", "unknown_param", "repeated_param"])
 def test_parameters_other_than_the_models_rejected_naming_the_file(saved, good, bad, message):
     _, path = saved
     blob = path.read_bytes()

@@ -249,6 +249,18 @@ def test_checkpoint_of_other_frozen_weights_is_one_error_line(run_dir, tmp_path,
     assert len(err) == 1 and err[0].startswith(f"error: {path}: frozen weights differ")
 
 
+def test_checkpoint_step_in_non_ascii_digits_is_one_error_line(run_dir, tmp_path, capsys):
+    blob = (run_dir / "checkpoint.bin").read_bytes()
+    edited = re.sub(rb"\nstep [0-9]+\n", "\nstep \u00b2\n".encode(), blob, count=1)
+    assert edited != blob
+    path = tmp_path / "edited.bin"
+    path.write_bytes(edited)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: corrupt checkpoint header")
+
+
 def test_data_dir_with_hash_evaluates_from_its_checkpoint(tmp_path, capsys):
     data = tmp_path / "d#1"
     assert main(["gen", "--out", str(data)] + TINY) == 0

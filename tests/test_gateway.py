@@ -4,7 +4,8 @@ import pytest
 from anofuse import gateway as gateway_module
 from anofuse.errors import ShapeError
 from anofuse.gateway import STATES, FusionGateway, state_probs
-from anofuse.tensor import Tensor, cosine_softmax_fwd, no_grad, softmax, tsum
+from anofuse.tensor import (Tensor, bilinear_matrix, cosine_softmax_fwd, grad, no_grad, softmax,
+                            tsum)
 from anofuse.verify import (check_gradients, gateway_composition, gateway_graph, node_and_graph,
                             same_bits, state_probs_graph)
 
@@ -82,7 +83,7 @@ def test_forward_identical_text_levels_ignore_weights():
         dyn = gw.forward(v_list, t_feats, (3, 3), (9, 9))
         sta = static_gw.forward(v_list, t_feats, (3, 3), (9, 9))
     assert np.abs(dyn.fusion_weights - sta.fusion_weights).max() > 0.1
-    np.testing.assert_allclose(dyn.per_level.data, sta.per_level.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dyn.per_level, sta.per_level, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dyn.upsampled.data, sta.upsampled.data, rtol=0, atol=1e-12)
 
 
@@ -159,7 +160,7 @@ def test_static_mode_ignores_gate_parameters():
     with no_grad():
         m1 = gw1.forward(v_list, t_feats, (3, 3), (9, 9))
         m2 = gw2.forward(v_list, t_feats, (3, 3), (9, 9))
-    np.testing.assert_array_equal(m1.per_level.data, m2.per_level.data)
+    np.testing.assert_array_equal(m1.per_level, m2.per_level)
 
 
 def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
@@ -178,8 +179,7 @@ def test_dynamic_forced_one_hot_equals_static_bitwise(monkeypatch):
     with no_grad():
         forced = gw.forward(v_list, t_feats, (3, 3), (9, 9))
         static = static_gw.forward(v_list, t_feats, (3, 3), (9, 9))
-    np.testing.assert_array_equal(forced.per_level.data, static.per_level.data)
-    np.testing.assert_array_equal(forced.aggregated.data, static.aggregated.data)
+    np.testing.assert_array_equal(forced.per_level, static.per_level)
     np.testing.assert_array_equal(forced.upsampled.data, static.upsampled.data)
     one_hots = np.stack([np.broadcast_to(np.eye(3)[:, None, :], (3, 2, 3))] * len(STATES))
     assert np.array_equal(static.fusion_weights, one_hots)
@@ -198,8 +198,8 @@ def test_single_level_degenerates_to_plain_map():
         dyn = gw.forward(v_list, t_feats, (2, 2), (4, 4))
         sta = static_gw.forward(v_list, t_feats, (2, 2), (4, 4))
     plain = level_map(gw, v_list[0].data, t_feats.data[0], (2, 2))
-    np.testing.assert_array_equal(dyn.per_level.data, sta.per_level.data)
-    np.testing.assert_array_equal(dyn.per_level.data[0], plain)
+    np.testing.assert_array_equal(dyn.per_level, sta.per_level)
+    np.testing.assert_array_equal(dyn.per_level[0], plain)
 
 
 def test_forward_composition_oracle():
@@ -209,10 +209,11 @@ def test_forward_composition_oracle():
         with no_grad():
             out = gw.forward(v_list, t_feats, (3, 3), (9, 9))
         maps = gateway_composition(gw, v_list, t_feats, (3, 3))
-        want = np.mean(maps, axis=0)
-        assert np.abs(out.aggregated.data - want).max() < 1e-12
+        want = np.matmul(bilinear_matrix((3, 3), (9, 9)),
+                         np.mean(maps, axis=0).reshape(2, 9, 1)).reshape(2, 9, 9)
+        assert np.abs(out.upsampled.data - want).max() < 1e-12
         for i in range(3):
-            assert np.abs(out.per_level.data[i] - maps[i]).max() < 1e-12
+            assert np.abs(out.per_level[i] - maps[i]).max() < 1e-12
 
 
 def test_forward_invariants_ranges_and_weight_count():
@@ -222,11 +223,12 @@ def test_forward_invariants_ranges_and_weight_count():
         out = gw.forward(v_list, t_feats, (3, 3), (12, 12))
     assert out.fusion_weights.shape == (2, 3, 2, 3)  # states x levels x images x levels
     assert np.abs(out.fusion_weights.sum(axis=-1) - 1.0).max() < 1e-12
-    assert out.per_level.data.shape == (3, 2, 3, 3)
-    for m in (out.per_level, out.aggregated):
-        assert (m.data > 0).all() and (m.data < 1).all()
-    assert out.upsampled.data.min() >= out.aggregated.data.min() - 1e-12
-    assert out.upsampled.data.max() <= out.aggregated.data.max() + 1e-12
+    assert out.per_level.shape == (3, 2, 3, 3)
+    agg = out.per_level.mean(axis=0)
+    for m in (out.per_level, agg):
+        assert (m > 0).all() and (m < 1).all()
+    assert out.upsampled.data.min() >= agg.min() - 1e-12
+    assert out.upsampled.data.max() <= agg.max() + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +254,30 @@ def gateway_case(b, n, dynamic, seed=30):
 def test_gateway_node_carries_the_graphs_bits(b, n, dynamic):
     gw, v_list, t_feats, params = gateway_case(b, n, dynamic)
     amap = gw.forward(v_list, t_feats, GRID, PIXELS)
-    maps, agg, _ = gateway_graph(gw, v_list, t_feats, GRID, PIXELS)
-    assert np.array_equal(amap.per_level.data, maps.data)
-    assert np.array_equal(amap.aggregated.data, agg.data)
-    assert not (amap.per_level.requires_grad or amap.aggregated.requires_grad)
+    maps, up = gateway_graph(gw, v_list, t_feats, GRID, PIXELS)
+    assert type(amap.per_level) is np.ndarray and np.array_equal(amap.per_level, maps.data)
+    assert np.array_equal(amap.upsampled.data, up.data)
     pairs = node_and_graph(lambda: gw.forward(v_list, t_feats, GRID, PIXELS).upsampled,
-                           lambda: gateway_graph(gw, v_list, t_feats, GRID, PIXELS)[2],
+                           lambda: gateway_graph(gw, v_list, t_feats, GRID, PIXELS)[1],
                            params, np.random.default_rng(32).normal(size=(b,) + PIXELS))
     assert same_bits(pairs)
     assert len(pairs[0][1]) == n + 1 + (4 if dynamic else 0)
 
 
 def test_gateway_node_skips_the_gradients_of_constant_levels():
-    gw, v_list, t_feats, _ = gateway_case(2, 3, True)
-    v_list[1] = Tensor(v_list[1].data)
-    up = gw.forward(v_list, t_feats, GRID, PIXELS).upsampled
-    grads = up._vjp(np.ones(up.data.shape))
-    assert grads[1] is None
-    assert all(g is not None for i, g in enumerate(grads) if i != 1)
+    # `grad` keeps no gradient for the constant level, and every live
+    # parent's gradient has the bits of the all-trainable case
+    gw, v_list, t_feats, params = gateway_case(2, 3, True)
+    probe = np.random.default_rng(36).normal(size=(2,) + PIXELS)
+
+    def grads():
+        return grad(tsum(gw.forward(v_list, t_feats, GRID, PIXELS).upsampled * probe), params)
+    both = grads()
+    v_list[1] = params["v1"] = Tensor(v_list[1].data)
+    got = grads()
+    assert both.keys() - got.keys() == {"v1"} and len(got) == len(params) - 1
+    for name in got:
+        assert np.array_equal(got[name], both[name]), name
 
 
 def _gateway_gradient_check(dynamic=True):

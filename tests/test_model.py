@@ -1,19 +1,20 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from anofuse import losses
 from anofuse import model as model_module
+from anofuse.checkpoint import frozen_digest
 from anofuse.config import RunConfig
 from anofuse.errors import ShapeError
 from anofuse.gateway import AnomalyMap, FusionGateway
 from anofuse.losses import model_loss
-from anofuse.model import PROMPTS, VOCAB, TransformerBlock, build_model
+from anofuse.model import MODEL_KEYS, PROMPTS, VOCAB, TransformerBlock, build_model
 from anofuse.tensor import Tensor, grad, no_grad, tsum
-from anofuse.verify import (block_composition, block_input_gradients, check_gradients,
-                            cls_loss_graph, gateway_graph, randomize_trainables, seg_loss_graph,
+from anofuse.verify import (block_composition, check_gradients, cls_loss_graph, gateway_graph,
+                            node_and_graph, randomize_trainables, seg_loss_graph,
                             state_probs_graph)
 
 
@@ -248,7 +249,7 @@ def test_group_counts_build_and_run(n):
     with no_grad():
         amap, probs = m.forward(m.vision_prefix(rand_images(cfg, 1, seed=10)),
                                 m.text_forward())
-    assert amap.per_level.data.shape == (n, 1) + m.grid
+    assert amap.per_level.shape == (n, 1) + m.grid
     assert probs.data.shape == (1, 2)
 
 
@@ -262,9 +263,50 @@ def test_batch_permutation_equivariance():
         prefix, prefix_p = m.vision_prefix(images), m.vision_prefix(images[perm])
         (amap, probs), (amap_p, probs_p) = m.forward(prefix, text), m.forward(prefix_p, text)
         v_cls, v_cls_p = m.vision_forward(prefix)[1], m.vision_forward(prefix_p)[1]
-    np.testing.assert_array_equal(amap.aggregated.data[perm], amap_p.aggregated.data)
+    np.testing.assert_array_equal(amap.per_level[:, perm], amap_p.per_level)
+    np.testing.assert_array_equal(amap.upsampled.data[perm], amap_p.upsampled.data)
     np.testing.assert_array_equal(probs.data[perm], probs_p.data)
     np.testing.assert_array_equal(v_cls.data[perm], v_cls_p.data)
+
+
+def _other_value(name, value):
+    """A value of RunConfig field `name` other than `value`; valid on
+    `small_config` when it alone changes."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return 2 * value if value else 1
+    if isinstance(value, float):
+        return 1.5 * value
+    return {"data_dir": "elsewhere", "texture": "sinusoid"}[name]
+
+
+def _model_state(cfg, images):
+    """What `build_model(cfg)` fixes: the frozen digest, every trainable, and
+    a no_grad forward on `images`."""
+    m = build_model(cfg)
+    with no_grad():
+        amap, probs = m.forward(m.vision_prefix(images), m.text_forward())
+    return (frozen_digest(m), {k: p.data for k, p in m.trainable_params().items()},
+            [amap.per_level, amap.upsampled.data, amap.fusion_weights, probs.data])
+
+
+def test_model_keys_list_every_field_the_model_reads():
+    # `cli._load_for_inference` lets a checkpoint's config change only the
+    # fields outside MODEL_KEYS, so none of them may move the model
+    cfg = small_config().validate()
+    images = rand_images(cfg, 2, seed=27)
+    digest, trainables, outputs = _model_state(cfg, images)
+    others = [f.name for f in fields(RunConfig) if f.name not in MODEL_KEYS]
+    assert set(MODEL_KEYS) < {f.name for f in fields(RunConfig)} and others
+    for name in others:
+        changed = replace(cfg, **{name: _other_value(name, getattr(cfg, name))}).validate()
+        assert getattr(changed, name) != getattr(cfg, name)
+        got_digest, got_trainables, got_outputs = _model_state(changed, images)
+        assert got_digest == digest, name
+        assert got_trainables.keys() == trainables.keys(), name
+        assert all(np.array_equal(got_trainables[k], v) for k, v in trainables.items()), name
+        assert all(np.array_equal(a, b) for a, b in zip(got_outputs, outputs)), name
 
 
 def test_vocab_covers_prompts():
@@ -296,8 +338,10 @@ def test_fused_block_forward_equals_composed_oracle(b, l, c, heads):
 def test_fused_block_input_gradient_matches_composed_oracle(b, l, c, heads):
     blk, x = _block_and_input(b, l, c, heads)
     probe = np.random.default_rng(14).normal(size=x.shape)
-    fused, composed = block_input_gradients(blk, x, probe)
-    assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()
+    xt = Tensor(x, trainable=True)
+    (_, fused), (_, composed) = node_and_graph(lambda: blk(xt), lambda: block_composition(blk, xt),
+                                               {"x": xt}, probe)
+    assert np.abs(fused["x"] - composed["x"]).max() <= 1e-12 * np.abs(composed["x"]).max()
 
 
 @pytest.mark.parametrize("cfg", [small_config(blocks_per_group=2), RunConfig()],
@@ -482,8 +526,10 @@ STEP_CASES = {
 def _composed_layers(monkeypatch):
     """Run the gateway, the image head and both losses as their graphs of
     Tensor primitives."""
-    monkeypatch.setattr(FusionGateway, "forward",
-                        lambda gw, *args: AnomalyMap(*gateway_graph(gw, *args), None))
+    def gateway_forward(gw, *args):
+        maps, up = gateway_graph(gw, *args)
+        return AnomalyMap(maps.data, up, None)
+    monkeypatch.setattr(FusionGateway, "forward", gateway_forward)
     monkeypatch.setattr(model_module, "state_probs", state_probs_graph)
     monkeypatch.setattr(losses, "seg_loss", seg_loss_graph)
     monkeypatch.setattr(losses, "cls_loss", cls_loss_graph)

@@ -434,16 +434,21 @@ def test_fd_gradient_handed_to_two_parents_is_not_aliased():
     (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 2)]),
 ], ids=["add", "sub", "mul", "div", "matmul", "conv_k1", "conv_k3", "concat"])
 def test_vjp_skips_the_gradient_of_a_frozen_parent(op, shapes):
+    # `grad` keeps no gradient for the frozen parent, and the live parent's
+    # gradient has the bits of the all-trainable case
     rng = np.random.default_rng(24)
     data = [rng.uniform(0.5, 1.5, s) for s in shapes]  # divisors away from 0
-    g = rng.normal(size=op(T.Tensor(data[0]), T.Tensor(data[1])).data.shape)
-    both = op(*(T.Tensor(d, trainable=True) for d in data))._vjp(g)
+    probe = rng.normal(size=op(T.Tensor(data[0]), T.Tensor(data[1])).data.shape)
+
+    def grads(trainable):
+        parents = {f"p{i}": T.Tensor(d, trainable=trainable[i]) for i, d in enumerate(data)}
+        return T.grad(T.tsum(op(*parents.values()) * probe), parents)
+    both = grads((True, True))
+    assert both.keys() == {"p0", "p1"}
     for frozen in (0, 1):
-        live = 1 - frozen
-        parents = [T.Tensor(d, trainable=i == live) for i, d in enumerate(data)]
-        got = op(*parents)._vjp(g)
-        assert got[frozen] is None
-        assert got[live].shape == both[live].shape
+        live = f"p{1 - frozen}"
+        got = grads([i != frozen for i in range(2)])
+        assert got.keys() == {live}
         assert np.array_equal(got[live], both[live])
 
 
@@ -550,6 +555,8 @@ def test_layer_norm_pair_equals_the_ndarray_method_oracle_bitwise():
 
 @pytest.mark.parametrize("axis", [0, 1, -1])
 def test_concat_vjp_is_the_split_gradient_and_none_for_a_frozen_member(axis):
+    # the gradient of sum(g * concat) is g split at the members' offsets;
+    # `grad` keeps none for the frozen middle member
     rng = np.random.default_rng(33)
     sizes = (2, 1, 3)
     shapes = []
@@ -557,15 +564,19 @@ def test_concat_vjp_is_the_split_gradient_and_none_for_a_frozen_member(axis):
         shape = [4, 5, 6]
         shape[axis] = s
         shapes.append(tuple(shape))
-    members = [T.Tensor(rng.normal(size=s), trainable=i != 1) for i, s in enumerate(shapes)]
-    out = T.concat(members, axis)
-    g = rng.normal(size=out.data.shape)
-    got = out._vjp(g)
+    data = [rng.normal(size=s) for s in shapes]
+    g = rng.normal(size=np.concatenate(data, axis).shape)
     want = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-    assert got[1] is None
+
+    def grads(frozen):
+        members = {f"m{i}": T.Tensor(d, trainable=i not in frozen) for i, d in enumerate(data)}
+        return T.grad(T.tsum(T.concat(list(members.values()), axis) * g), members)
+    both, got = grads(()), grads((1,))
+    assert both.keys() == {"m0", "m1", "m2"} and got.keys() == {"m0", "m2"}
     for i in (0, 2):
-        assert got[i].shape == shapes[i]
-        assert np.array_equal(got[i], want[i])
+        assert got[f"m{i}"].shape == shapes[i]
+        assert np.array_equal(got[f"m{i}"], want[i])
+        assert np.array_equal(got[f"m{i}"], both[f"m{i}"])
 
 
 @pytest.mark.parametrize("axes", [(1, 2, 0), (2, 0, 1), (0, 2, 1)])
