@@ -16,8 +16,9 @@ Each adapter call returns the updated tokens as one graph node with a
 hand-written VJP, as a frozen TransformerBlock does. The update applies to
 the last H*W rows when a grid is given, so a class row in front of the patch
 rows passes through, and to every row without one. The node runs the numpy
-operations of the graph that the Tensor primitives would record, in the same
-order, so its values and gradients carry the same bits. Its weights always
+operations of the graph that the Tensor primitives would record
+(its reference graph in `tests/oracles.py`), in the same order, so its
+values and gradients carry the same bits. Its weights always
 train; it skips the input gradient when the input needs none (the group-0
 adapters read the model's constant prefixes).
 """

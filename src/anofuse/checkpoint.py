@@ -50,10 +50,16 @@ def _line(blob, pos, path):
     return blob[pos:end].decode(errors="replace"), end + 1
 
 
+def _is_count(field):
+    """Whether `field` is a count written by `save_checkpoint`: ASCII digits,
+    at least one. `int` alone also reads '+2', '0_8' and non-ASCII digits."""
+    return field.isascii() and field.isdigit()
+
+
 def _count(line, key, path):
-    """The count of a `key N` header line, N in ASCII digits."""
+    """The count of a `key N` header line."""
     parts = line.split(" ")
-    if len(parts) != 2 or parts[0] != key or not (parts[1].isascii() and parts[1].isdigit()):
+    if len(parts) != 2 or parts[0] != key or not _is_count(parts[1]):
         raise DatasetError(f"{path}: corrupt checkpoint header {line!r}, want '{key} <count>'")
     return int(parts[1])
 
@@ -91,11 +97,11 @@ def load_checkpoint(path):
         raise DatasetError(f"{path}: checkpoint has {n_params} params, model wants {len(params)}")
     for _ in range(n_params):
         line, pos = _line(blob, pos, path)
-        try:
-            name, shape_csv = line.rsplit(" ", 1)
-            shape = tuple(int(d) for d in shape_csv.split(",") if d)
-        except ValueError:
-            raise DatasetError(f"{path}: corrupt parameter header {line!r}") from None
+        name, _, shape_csv = line.rpartition(" ")
+        fields = shape_csv.split(",")
+        if not (name and all(_is_count(d) for d in fields)):
+            raise DatasetError(f"{path}: corrupt parameter header {line!r}")
+        shape = tuple(int(d) for d in fields)
         if name not in params:
             raise DatasetError(f"{path}: unknown parameter {name!r} in checkpoint")
         if name not in unread:

@@ -17,8 +17,8 @@ descriptors, the level maps, their mean and the upsampling. `state_probs`
 is one node too. Each VJP returns a gradient for every parent, and
 `tensor.grad` drops those of constant parents. Both nodes run the numpy
 operations of the graph that the Tensor primitives would record
-(`verify.gateway_graph` and `verify.state_probs_graph`), in the same order,
-so their values and gradients carry the same bits.
+(their reference graphs in `tests/oracles.py`), in the same order, so
+their values and gradients carry the same bits.
 """
 
 from __future__ import annotations

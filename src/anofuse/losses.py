@@ -6,8 +6,8 @@ probabilities that `GroupedModel.forward` returns; and the image score.
 the sum in `model_loss` is two Tensor primitives. Each formula is written
 once, as an array-level forward and backward pair. A node runs the numpy
 operations of the graph that the Tensor primitives would record for its
-formula (`verify.focal_loss`, `verify.dice_loss`, `verify.cls_loss_graph`),
-in the same order, so its values and gradients carry the same bits. It
+formula (its reference graph in `tests/oracles.py`), in the same order,
+so its values and gradients carry the same bits. It
 writes into its own temporaries where that gives the same bits, so it
 allocates fewer whole-map arrays than that graph.
 """

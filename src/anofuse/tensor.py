@@ -3,11 +3,12 @@
 Everything downstream is built from the kernels here. Each layer is one
 graph node over the array-level kernels: a frozen encoder block, an
 adapter call, the fusion gateway, the cosine-softmax image head, and each
-of the two losses. The Tensor primitives record the rest (the slices
-between layers, the text stack, the sum of the losses) and the reference
-graphs in `verify`. All arrays are double precision and all kernels are
-pure functions of their inputs, so results are deterministic for a fixed
-seed.
+of the two losses. The four Tensor primitives here (`add`, `mul`, `stack`,
+`slice_tensor`) record the rest: the slices between layers, the text stack
+and the sum of the losses. The reference graphs that the one-node layers
+must match, and the primitives only they use, live in `tests/oracles.py`.
+All arrays are double precision and all kernels are pure functions of
+their inputs, so results are deterministic for a fixed seed.
 Gradients are produced by `grad()` and are validated against central
 finite differences in the test suite.
 
@@ -23,7 +24,6 @@ the wrappers cost more than the arithmetic.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -70,23 +70,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __pow__(self, c):
-        return pow_const(self, c)
 
     def __getitem__(self, idx):
         return slice_tensor(self, idx)
@@ -128,13 +113,14 @@ def _unbroadcast(g, shape):
 
 
 # ---------------------------------------------------------------------------
-# elementwise and reduction primitives
+# graph primitives
 
 
 # A VJP returns a gradient for each of its parents, and `grad` drops the one
 # handed to a parent that needs none (a frozen weight or a constant). The
 # backbone's weights never reach these primitives: a frozen block is one node
-# whose only parent is its input.
+# whose only parent is its input. The other Tensor primitives, which only the
+# reference graphs use, are in `tests/oracles.py`.
 
 
 def add(a, b):
@@ -142,101 +128,9 @@ def add(a, b):
                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
-def sub(a, b):
-    return _node(a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
-
-
 def mul(a, b):
     return _node(a.data * b.data, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
                                                      _unbroadcast(g * a.data, b.data.shape)))
-
-
-def div(a, b):
-    return _node(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-
-def pow_const(a, c):
-    c = float(c)
-    return _node(a.data ** c, (a,),
-                 lambda g: (g * c * a.data ** (c - 1.0),))
-
-
-def log(a):
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def tanh(a):
-    out_data = np.tanh(a.data)
-    return _node(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
-
-
-def sqrt(a):
-    out_data = np.sqrt(a.data)
-    return _node(out_data, (a,), lambda g: (g / (2.0 * out_data),))
-
-
-def clip(a, lo, hi):
-    """Clamp into [lo, hi]; gradient is zero where the clamp binds."""
-    lo, hi = float(lo), float(hi)
-
-    def vjp(g):
-        return (g * ((a.data > lo) & (a.data < hi)),)
-    return _node(np.minimum(np.maximum(a.data, lo), hi), (a,), vjp)
-
-
-def _spread(g, shape, axis, keepdims):
-    """A new array of `shape` holding g broadcast back over the reduced axes."""
-    out = np.empty(shape)
-    if not (axis is None or keepdims):
-        axes = {i % len(shape) for i in (axis if isinstance(axis, tuple) else (axis,))}
-        g = g.reshape([1 if i in axes else d for i, d in enumerate(shape)])
-    out[...] = g
-    return out
-
-
-def tsum(a, axis=None, keepdims=False):
-    return _node(np.add.reduce(a.data, axis, keepdims=keepdims), (a,),
-                 lambda g: (_spread(g, a.data.shape, axis, keepdims),))
-
-
-def tmean(a, axis=None, keepdims=False):
-    if axis is None:
-        n = a.data.size
-    else:
-        n = math.prod(a.data.shape[i] for i in (axis if isinstance(axis, tuple) else (axis,)))
-    return _node(np.add.reduce(a.data, axis, keepdims=keepdims) / n, (a,),
-                 lambda g: (_spread(g / n, a.data.shape, axis, keepdims),))
-
-
-# ---------------------------------------------------------------------------
-# shape movement
-
-
-def reshape(a, shape):
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def transpose(a, axes):
-    inv = sorted(range(len(axes)), key=axes.__getitem__)  # the inverse permutation
-    return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
-
-
-def concat(tensors, axis):
-    tensors = list(tensors)
-
-    def vjp(g):
-        # each member's gradient is the view of g at its running offset
-        lead = (slice(None),) * (axis % g.ndim)
-        grads, lo = [], 0
-        for t in tensors:
-            hi = lo + t.data.shape[axis]
-            grads.append(g[lead + (slice(lo, hi),)])
-            lo = hi
-        return grads
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
 def stack(tensors):
@@ -254,27 +148,17 @@ def slice_tensor(a, idx):
     return _node(a.data[idx], (a,), vjp)
 
 
-def matmul(a, b):
-    """np.matmul for operands of rank >= 2, with batch broadcasting."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError("matmul operands must have rank >= 2")
-
-    def vjp(g):
-        return (_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape),
-                _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
-    return _node(np.matmul(a.data, b.data), (a, b), vjp)
-
-
 # ---------------------------------------------------------------------------
 # neural primitives
 #
 # Each formula is written once, as an array-level forward and backward pair
 # (`conv_rows_fwd`/`conv_rows_bwd` and `cosine_softmax_fwd`/
-# `cosine_softmax_bwd` below too). The Tensor primitives call these, and so
-# do the one-node layers: a frozen TransformerBlock (model.py), an adapter
-# call (adapter.py), which returns the updated tokens, and the fusion
-# gateway and the image head (gateway.py). Each of those is one graph node
-# with a hand-written VJP.
+# `cosine_softmax_bwd` below too). The one-node layers call these: a frozen
+# TransformerBlock (model.py), an adapter call (adapter.py), which returns
+# the updated tokens, and the fusion gateway and the image head
+# (gateway.py). Each of those is one graph node with a hand-written VJP. The
+# Tensor-primitive versions that the reference graphs record are in
+# `tests/oracles.py`.
 
 
 def softmax_fwd(x, axis=-1):
@@ -336,21 +220,6 @@ def gelu_bwd(g, x, t):
     return du
 
 
-def softmax(a, axis=-1):
-    out_data = softmax_fwd(a.data, axis)
-    return _node(out_data, (a,), lambda g: (softmax_bwd(g, out_data, axis),))
-
-
-def layer_norm(a, eps=1e-5):
-    y, r = layer_norm_fwd(a.data, eps)
-    return _node(y, (a,), lambda g: (layer_norm_bwd(g, y, r),))
-
-
-def gelu(a):
-    out_data, t = gelu_fwd(a.data)
-    return _node(out_data, (a,), lambda g: (gelu_bwd(g, a.data, t),))
-
-
 # ---------------------------------------------------------------------------
 # convolution on token rows
 
@@ -405,12 +274,6 @@ def conv_rows_bwd(g, cols, w, grid):
     wt = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
     dx = (_columns(g, _neighbours(grid, k)) @ wt).reshape(b, l, cin)
     return dx, dw
-
-
-def conv_rows(x, w, grid):
-    """`conv_rows_fwd` as a graph node."""
-    y, cols = conv_rows_fwd(x.data, w.data, grid)
-    return _node(y, (x, w), lambda g: conv_rows_bwd(g, cols, w.data, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from anofuse import tensor as T
 from anofuse.adapter import ConvLoraAdapter, LowRankAdapter
-from anofuse.verify import adapter_composition, check_gradients
+from anofuse.verify import check_gradients
+from oracles import adapter_composition, adapter_graph, pow_const, tanh, tsum
 
 
 def make_adapter(channels=4, rank=2, kernels=(3, 5), seed=0, randomize_up=False):
@@ -18,27 +19,6 @@ def make_low_rank(channels=4, rank=2, seed=0):
     lo = LowRankAdapter(channels, rank, rng=np.random.default_rng(seed))
     lo.w_up.data[:] = np.random.default_rng(seed + 100).normal(0.0, 0.5, lo.w_up.data.shape)
     return lo
-
-
-def composed(ad, x, grid):
-    """The adapter as the graph of Tensor primitives that its one node
-    replaces: slice the grid rows, bottleneck, convs, concat, fold, residual
-    add, and the concat that puts the rows in front back."""
-    s = 0 if grid is None else x.data.shape[1] - grid[0] * grid[1]
-    rows = x[:, s:, :]
-    if isinstance(ad, LowRankAdapter):
-        delta = T.matmul(T.matmul(rows, ad.w_down), ad.w_up)
-    else:
-        c = ad.w_up.data.shape[1]
-        scale = np.array([[[1.0 / k ** 2]] for k in ad.branch_kernels])
-        fuse = T.transpose(T.reshape(ad.fuse_1x1, (c, len(scale), c)), (1, 2, 0))
-        u = T.reshape(T.matmul(ad.w_up, fuse) * scale, (-1, c))
-        z = T.matmul(rows, ad.w_down)
-        delta = T.matmul(T.concat([T.conv_rows(T.conv_rows(z, ad.conv_down[k], grid),
-                                               ad.conv_up[k], grid)
-                                   for k in ad.branch_kernels], axis=-1), u)
-    rows = rows + delta
-    return T.concat([x[:, :s, :], rows], axis=1) if s else rows
 
 
 # (adapter, grid, tokens in front of the grid rows)
@@ -112,11 +92,11 @@ def test_one_node_carries_the_composed_graphs_bits(make, grid, front):
         x = _tokens(grid, front, b=b)
         probe = np.random.default_rng(b).normal(size=x.shape)
         outs, grads = [], []
-        for f in (ad, lambda t, grid: composed(ad, t, grid)):
+        for f in (ad, lambda t, grid: adapter_graph(ad, t, grid)):
             params = {"x": T.Tensor(x, trainable=True), **{p.name: p for p in ad.params}}
             out = f(params["x"], grid)
             outs.append(out.data)
-            grads.append(T.grad(T.tsum(out * probe), params))
+            grads.append(T.grad(tsum(out * probe), params))
         assert np.array_equal(*outs)
         assert grads[0].keys() == grads[1].keys()
         for name in grads[0]:
@@ -196,7 +176,7 @@ def _fd_check(ad, grid, front):
     # the input's gradient too
     params = {"x": T.Tensor(_tokens(grid, front, b=2, seed=16), trainable=True, name="x"),
               **{t.name: t for t in ad.params}}
-    res = check_gradients(lambda: T.tsum(T.tanh(ad(params["x"], grid)) ** 2), params)
+    res = check_gradients(lambda: tsum(pow_const(tanh(ad(params["x"], grid)), 2)), params)
     assert res.passed(), res.failures[:3]
     assert res.n_checked == sum(t.data.size for t in params.values())
 

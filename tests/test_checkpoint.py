@@ -107,6 +107,11 @@ def test_shape_mismatch_rejected(saved):
     (b"\nconfig ", b"\nconfig\n"),
     (b"\nconfig 32\n", "\nconfig \u0663\n".encode()),  # int() reads the Arabic-Indic 3 as 3
     pytest.param(b"text.g0.lora.w_up 2,8\n", b"text.g0.lora.w_up2,8\n", id="param_header"),
+    # shape fields that int() reads as 2 and 8, or that were skipped as empty
+    pytest.param(b"w_up 2,8\n", b"w_up 2,,8\n", id="shape_empty_field"),
+    pytest.param(b"w_up 2,8\n", b"w_up 2,8,\n", id="shape_trailing_comma"),
+    pytest.param(b"w_up 2,8\n", "w_up \u0662,8\n".encode(), id="shape_arabic_indic_digit"),
+    pytest.param(b"w_up 2,8\n", b"w_up +2,0_8\n", id="shape_sign_and_underscore"),
     (b"\nfrozen ", b"\nfrozen\n"),
 ])
 def test_corrupt_header_rejected_naming_the_file(saved, good, bad):

@@ -4,6 +4,7 @@ import re
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from anofuse import errors
@@ -338,8 +339,16 @@ def test_config_file_or_stray_argument_where_none_is_read_is_one_error_line(
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert "gradient suite vs finite differences (1968 entries," in out[-2]
-    assert out[-1] == "selftest PASSED"
+    # the names of the checks, without the measured detail of the last one
+    assert [line.split(" (1968 entries,")[0] for line in out] == [
+        "[ok] softmax normalization and shift invariance",
+        "[ok] row convolution vs nested-loop reference (3x5 grid)",
+        "[ok] auroc/ap equal brute-force oracles (200 tied instances)",
+        "[ok] focal(gamma=0, alpha=1/2) reduces to BCE/2",
+        "[ok] segmentation loss additivity",
+        "[ok] small-model gradient suite vs finite differences",
+        "selftest PASSED",
+    ]
 
 
 def test_every_package_error_derives_from_the_one_main_reports():
@@ -349,3 +358,39 @@ def test_every_package_error_derives_from_the_one_main_reports():
                if issubclass(c, BaseException) and c.__module__ == errors.__name__]
     assert errors.TrainingError in classes
     assert all(issubclass(c, errors.AnofuseError) for c in classes)
+
+
+def _byte_edits(blob, n, seed):
+    """n copies of blob with one seeded edit each: a byte set, deleted or
+    inserted, or the rest cut off. Four edits in five fall in the first
+    2,000 bytes, which hold a checkpoint's headers."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        pos = int(rng.integers(min(len(blob), 2000) if rng.random() < 0.8 else len(blob)))
+        byte = bytes([int(rng.integers(256))])
+        yield (blob[:pos] + byte + blob[pos + 1:], blob[:pos] + blob[pos + 1:],
+               blob[:pos] + byte + blob[pos:], blob[:pos])[int(rng.integers(4))]
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "pgm", "config"])
+def test_seeded_byte_edits_exit_0_or_print_one_error_line(run_dir, tmp_path, target, capsys):
+    # the checkpoint and one test image are read by eval, the config file by gen
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data)] + TINY) == 0
+    ckpt = run_dir / "checkpoint.bin"
+    path = {"checkpoint": tmp_path / "edited.bin", "config": tmp_path / "edited.cfg",
+            "pgm": sorted((data / "test").rglob("*.pgm"))[0]}[target]
+    original = {"checkpoint": ckpt, "config": run_dir / "config.txt", "pgm": path}[target]
+    argv = {"checkpoint": ["eval", "--checkpoint", str(path)],
+            "pgm": ["eval", "--checkpoint", str(ckpt), "--data_dir", str(data)],
+            "config": ["gen", "--config", str(path), "--out", str(tmp_path / "gen")]}[target]
+    failed = 0
+    for i, blob in enumerate(_byte_edits(original.read_bytes(), 100, seed=len(target))):
+        path.write_bytes(blob)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert (code, err) == (0, []) or (
+            code == 1 and len(err) == 1 and err[0].startswith("error: ")), (i, code, err)
+        failed += code
+    assert 0 < failed < 100  # some edits are caught, and some leave a file that reads

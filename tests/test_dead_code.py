@@ -1,6 +1,8 @@
 """Every function, method, class and module-level constant defined in the
 package is named somewhere else in the package. A definition that nothing
-names is dead code, or is kept alive only by tests.
+names is dead code, or is kept alive only by tests. In the same way, every
+definition in `tests/oracles.py` is named in some test file, so a reference
+implementation cannot outlive its last test.
 
 A name counts as used only where the syntax tree reads it: as a variable,
 as an attribute (other than a numpy function such as `np.exp`), or in an
@@ -14,6 +16,7 @@ from pathlib import Path
 import anofuse
 
 PACKAGE = Path(anofuse.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _used_names(tree):
@@ -39,12 +42,21 @@ def _constants(tree):
                     yield name.id
 
 
-def test_every_definition_is_named_elsewhere_in_the_package():
-    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+def _unnamed(trees, users):
+    """The names defined in `trees` that no tree in `users` names."""
     defined = {node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     defined |= {name for tree in trees for name in _constants(tree)}
-    used = {name for tree in trees for name in _used_names(tree)}
-    unnamed = sorted(name for name in defined
-                     if not (name.startswith("__") and name.endswith("__")) and name not in used)
-    assert unnamed == []
+    used = {name for tree in users for name in _used_names(tree)}
+    return sorted(name for name in defined
+                  if not (name.startswith("__") and name.endswith("__")) and name not in used)
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    assert _unnamed(trees, trees) == []
+
+
+def test_every_reference_in_the_oracles_is_named_by_a_test():
+    tests = [ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))]
+    assert _unnamed([ast.parse((TESTS / "oracles.py").read_text())], tests) == []
