@@ -155,10 +155,13 @@ BOOLEANS = (dict.fromkeys(("1", "true", "yes", "on"), True)
 def _coerce(key, raw):
     default = getattr(RunConfig(), key)
     try:
-        if key == "branch_kernels":
-            return tuple(int(p) for p in raw.replace("(", "").replace(")", "").split(",") if p.strip())
         if isinstance(default, bool):
             return BOOLEANS[raw.strip().lower()]
+        # int() and float() also read other scripts' digits and `_` separators
+        if not isinstance(default, str) and not (raw.isascii() and "_" not in raw):
+            raise ValueError(raw)
+        if key == "branch_kernels":
+            return tuple(int(p) for p in raw.replace("(", "").replace(")", "").split(",") if p.strip())
         return type(default)(raw)  # int, float or str
     except (KeyError, ValueError):
         kind = {bool: "boolean ", int: "integer ", float: "float "}.get(type(default), "")

@@ -10,6 +10,11 @@ formula (its reference graph in `tests/oracles.py`), in the same order,
 so its values and gradients carry the same bits. It
 writes into its own temporaries where that gives the same bits, so it
 allocates fewer whole-map arrays than that graph.
+
+Targets are 0/1 masks, as `data` writes and reads them, so the focal term
+takes its p_t form: one term per pixel, for its true class. The reference
+graph also evaluates the other class's term, which the mask multiplies by
+exactly 0.
 """
 
 from __future__ import annotations
@@ -17,60 +22,45 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigurationError
+from .errors import ShapeError
 from .tensor import _node
 
 CLAMP_EPS = 1e-7
 
 
 def focal_fwd(pred, target, gamma, alpha):
-    """Mean focal term of pred against a target array of its shape, with
-    predictions clamped away from exact 0/1: the value and the arrays that
-    `focal_bwd` reads."""
+    """Mean focal term of pred against a 0/1 mask of its shape, in its p_t
+    form: -alpha_t * (1 - p_t) ** gamma * log(p_t) per pixel, where p_t is
+    the clamped prediction of the pixel's true class, and alpha_t is alpha
+    where the mask is 1 and 1 - alpha where it is 0. Returns the value and
+    the arrays that `focal_bwd` reads; `a_t` holds -alpha_t."""
     gamma, alpha = float(gamma), float(alpha)
     p = np.minimum(np.maximum(pred, CLAMP_EPS), 1.0 - CLAMP_EPS)
     q = 1.0 - p
-    qg, logp = q ** gamma, np.log(p)
-    pg, logq = p ** gamma, np.log(q)
-    pos = qg * logp
-    pos *= -alpha
-    pos *= target
-    neg = pg * logq
-    neg *= alpha - 1.0
-    not_target = 1.0 - target
-    neg *= not_target
-    pos += neg
-    return np.add.reduce(pos, None) / pos.size, (pred, target, not_target, p, q, qg, logp, pg, logq)
+    on = target == 1
+    p_t, p_o = np.where(on, p, q), np.where(on, q, p)
+    a_t = np.where(on, -alpha, alpha - 1.0)
+    pog, logp_t = p_o ** gamma, np.log(p_t)
+    term = pog * logp_t
+    term *= a_t
+    return np.add.reduce(term, None) / term.size, (pred, on, p_t, p_o, a_t, pog, logp_t)
 
 
-def focal_bwd(g, saved, gamma, alpha):
-    """Gradient of `focal_fwd` for pred from the gradient g of its value. The
-    clamped prediction's four terms are summed in the order the composed
-    graph sums them: (1 - p) in the positive term, log p, p ** gamma, and
-    (1 - p) in the negative term."""
-    gamma, alpha = float(gamma), float(alpha)
-    pred, target, not_target, p, q, qg, logp, pg, logq = saved
-    gm = g / p.size
-    # the positive term, -alpha * (1 - p) ** gamma * log(p) where the target is 1
-    d = target * gm
-    d *= -alpha
-    gp = d * logp  # of (1 - p) ** gamma
-    d *= qg  # of log(p)
+def focal_bwd(g, saved, gamma):
+    """Gradient of `focal_fwd` for pred from the gradient g of its value:
+    each pixel's term differentiated in p_o = 1 - p_t, the clamped pred
+    where the mask is 0, negated where the mask is 1 (there p_t is the
+    clamped pred), and 0 where the clamp binds."""
+    gamma = float(gamma)
+    pred, on, p_t, p_o, a_t, pog, logp_t = saved
+    d = a_t * (g / p_t.size)
+    gp = d * logp_t  # of (1 - p_t) ** gamma
+    d *= pog  # of log(p_t)
     gp *= gamma
-    gp *= q ** (gamma - 1.0)
-    np.negative(gp, out=gp)
-    d /= p
-    gp += d
-    # the negative term, (alpha - 1) * p ** gamma * log(1 - p) where it is 0
-    d = not_target * gm
-    d *= alpha - 1.0
-    dp = d * logq  # of p ** gamma
-    d *= pg  # of log(1 - p)
-    dp *= gamma
-    dp *= p ** (gamma - 1.0)
-    gp += dp
-    d /= q
+    gp *= p_o ** (gamma - 1.0)
+    d /= p_t
     gp -= d
+    np.negative(gp, out=gp, where=on)
     gp *= (pred > CLAMP_EPS) & (pred < 1.0 - CLAMP_EPS)
     return gp
 
@@ -98,14 +88,14 @@ def seg_loss(pred, target, cfg: RunConfig):
     Tensor, against the masks `target`, as one graph node."""
     target = np.asarray(target, dtype=np.float64)
     if pred.data.shape != target.shape:
-        raise ConfigurationError(
+        raise ShapeError(
             f"pred shape {pred.data.shape} != target shape {target.shape}")
-    gamma, alpha = cfg.focal_gamma, cfg.focal_alpha
-    focal, focal_saved = focal_fwd(pred.data, target, gamma, alpha)
+    gamma = cfg.focal_gamma
+    focal, focal_saved = focal_fwd(pred.data, target, gamma, cfg.focal_alpha)
     dice, dice_saved = dice_fwd(pred.data, target, cfg.dice_smooth)
 
     def vjp(g):
-        gp = focal_bwd(g * cfg.lambda_focal, focal_saved, gamma, alpha)
+        gp = focal_bwd(g * cfg.lambda_focal, focal_saved, gamma)
         g_overlap, g_mass = dice_bwd(g * cfg.lambda_dice, dice_saved)
         gp += target * g_overlap
         gp += g_mass

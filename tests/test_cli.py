@@ -262,6 +262,24 @@ def test_checkpoint_step_in_non_ascii_digits_is_one_error_line(run_dir, tmp_path
     assert len(err) == 1 and err[0].startswith(f"error: {path}: corrupt checkpoint header")
 
 
+def test_override_with_a_digit_separator_is_one_error_line(run_dir, capsys):
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--n_test", "1_2"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: cannot parse integer n_test from '1_2'"]
+
+
+def test_checkpoint_config_in_non_ascii_digits_is_one_error_line(run_dir, tmp_path, capsys):
+    blob = (run_dir / "checkpoint.bin").read_bytes()
+    edited = blob.replace(b"\nn_test = 12\n", "\nn_test = \u0661\u0662\n".encode(), 1)
+    assert edited != blob
+    path = tmp_path / "edited.bin"
+    path.write_bytes(edited)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot parse integer n_test from '\u0661\u0662'"]
+
+
 def test_data_dir_with_hash_evaluates_from_its_checkpoint(tmp_path, capsys):
     data = tmp_path / "d#1"
     assert main(["gen", "--out", str(data)] + TINY) == 0

@@ -84,6 +84,25 @@ def test_bad_branch_kernels_rejected():
         parse_config_text("branch_kernels = 3,4").validate()
 
 
+@pytest.mark.parametrize("text", ["steps = \u0663", "n_train = 1_0", "n_test = \uff11\uff12",
+                                  "lr = \u0661e-3", "lr = 1_0.5", "branch_kernels = 3,\u0665",
+                                  "branch_kernels = 1_1"])
+def test_numerals_other_than_plain_ascii_rejected(text):
+    key, raw = text.split(" = ")
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text(text)
+    assert str(err.value).endswith(f"{key} from {raw!r}")
+
+
+def test_ascii_numerals_reach_validate():
+    cfg = parse_config_text("model_seed = -1\nlr = 1e-3\ndice_smooth = nan")
+    assert (cfg.model_seed, cfg.lr) == (-1, 1e-3)
+    with pytest.raises(ConfigurationError) as err:
+        cfg.validate()
+    assert "model_seed=-1 (need >= 0)" in str(err.value)
+    assert "dice_smooth=nan (need finite)" in str(err.value)
+
+
 def test_loss_settings_validated_with_the_run():
     with pytest.raises(ConfigurationError) as err:
         RunConfig(focal_alpha=1.5, focal_gamma=-1.0, dice_smooth=0.0).validate()

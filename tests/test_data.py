@@ -65,9 +65,11 @@ def test_anomaly_rate_zero_gives_clean_corpus():
 
 
 def test_label_matches_mask_presence():
-    cfg = data_config()
-    for s in gen_synthetic(cfg, seed=2, n=40):
-        assert s.label == int(s.mask.any())
+    # and every mask is 0/1, the targets that `losses.focal_fwd` takes
+    for texture in ("noise", "sinusoid", "mixed"):
+        for s in gen_synthetic(data_config(texture=texture), seed=2, n=40):
+            assert s.label == int(s.mask.any())
+            assert ((s.mask == 0) | (s.mask == 1)).all()
 
 
 def test_defect_bounding_box_census():

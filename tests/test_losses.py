@@ -6,7 +6,7 @@ import pytest
 
 from anofuse import losses as losses_module
 from anofuse.config import RunConfig
-from anofuse.errors import ConfigurationError
+from anofuse.errors import ShapeError
 from anofuse.gateway import state_probs
 from anofuse.losses import (CLAMP_EPS, cls_loss, dice_fwd, focal_fwd, image_score, model_loss,
                             seg_loss)
@@ -92,7 +92,7 @@ def test_seg_loss_switches_and_additivity():
     want = (focal_loss(pred.data, target, 2.0, 0.25)
             + dice_loss(pred.data, target, 1.0))
     assert abs(float(seg_loss(pred, target, both).data) - want) < 1e-12
-    with pytest.raises(ConfigurationError, match="pred shape"):
+    with pytest.raises(ShapeError, match="pred shape"):
         seg_loss(pred, target[:2], both)
 
 
@@ -170,27 +170,25 @@ def test_image_score_monotone_in_both_arguments():
 # the one-node losses against their Tensor-primitive graphs
 
 
-def seg_case(b, seed=40, lo=0.0, hi=1.0, soft=False):
-    """A trainable (B, 4, 5) map in [lo, hi) and a mask of its shape: binary,
-    or with values in [0, 1)."""
+def seg_case(b, seed=40, lo=0.0, hi=1.0):
+    """A trainable (B, 4, 5) map in [lo, hi) and a 0/1 mask of its shape."""
     rng = np.random.default_rng(seed)
     pred = Tensor(rng.uniform(lo, hi, (b, 4, 5)), trainable=True, name="pred")
-    target = rng.uniform(size=(b, 4, 5))
-    return pred, target if soft else (target > 0.5).astype(float)
+    return pred, (rng.uniform(size=(b, 4, 5)) > 0.5).astype(float)
 
 
-@pytest.mark.parametrize("soft", [False, True], ids=["binary", "soft"])
+# the default focal_alpha, and the two ends, where alpha_t is 0 on one class
+@pytest.mark.parametrize("alpha", [0.25, 0.0, 1.0],
+                         ids=["binary", "binary-alpha0", "binary-alpha1"])
 @pytest.mark.parametrize("lambdas", [{}, {"lambda_focal": 0.0}, {"lambda_dice": 0.0}],
                          ids=["both", "no-focal", "no-dice"])
 @pytest.mark.parametrize("gamma", [0.0, 1.5, 2.0])
 @pytest.mark.parametrize("b", [1, 3])
-def test_seg_loss_node_carries_the_graphs_bits(b, gamma, lambdas, soft):
-    # a soft mask gives a pixel both focal terms, so the order in which the
-    # node sums their four gradient terms shows in the bits
-    pred, target = seg_case(b, soft=soft)
+def test_seg_loss_node_carries_the_graphs_bits(b, gamma, lambdas, alpha):
+    pred, target = seg_case(b)
     # exactly 0 and 1, and the clamp's bounds: the clamp binds at each
     pred.data.flat[:4] = (0.0, CLAMP_EPS, 1.0 - CLAMP_EPS, 1.0)
-    cfg = RunConfig(focal_gamma=gamma, **lambdas)
+    cfg = RunConfig(focal_gamma=gamma, focal_alpha=alpha, **lambdas)
     pairs = node_and_graph(lambda: seg_loss(pred, target, cfg),
                            lambda: seg_loss_graph(pred, target, cfg), {"pred": pred})
     assert same_bits(pairs)
